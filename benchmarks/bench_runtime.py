@@ -43,6 +43,7 @@ import numpy as np
 
 from benchmarks._common import save_report, table
 from repro.core.tensor import Tensor
+from repro.observe import Tracer
 from repro.runtime import Executor
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
@@ -180,15 +181,16 @@ def _time_run(executor, program, inputs, repeats: int):
     return best, result
 
 
-def _time_lowered(executor, sched, inputs, repeats: int, trace=None):
-    """Best-of-N lowered runs; the first collects the instruction trace
-    (list appends are negligible next to the numpy work, and an extra
-    untimed run at GPT-3 scale would cost seconds and gigabytes)."""
+def _time_lowered(executor, sched, inputs, repeats: int, tracer=None):
+    """Best-of-N lowered runs; the first records its instruction spans
+    (a few clock reads per span are negligible next to the numpy work,
+    and an extra untimed run at GPT-3 scale would cost seconds and
+    gigabytes)."""
     best, result = float("inf"), None
     for i in range(repeats):
         t0 = time.perf_counter()
         result = executor.run_lowered(
-            sched, inputs, trace=trace if i == 0 else None
+            sched, inputs, tracer=tracer if i == 0 else None
         )
         best = min(best, time.perf_counter() - t0)
     return best, result
@@ -222,14 +224,14 @@ def run_workload(
         }
         # lowered interpreter: same inputs, plan-aware execution; must
         # stay bit-identical to the DFG interpretation
-        trace: list = []
+        tracer = Tracer()
         low_s, low = _time_lowered(
-            Executor(), sched, inputs, repeats, trace=trace
+            Executor(), sched, inputs, repeats, tracer=tracer
         )
         _assert_equal_results(
             low, vec, program, f"{name}/{sched_name} (lowered)"
         )
-        chunk_events = sum(1 for ev in trace if ev[0] == "chunk")
+        chunk_events = len(tracer.spans(cat="chunk"))
         low_entry[sched_name] = {
             "dfg_s": vec_s,
             "lowered_s": low_s,

@@ -5,8 +5,9 @@ program (e.g. Adam: 16-220 generated lines vs 12-18 DSL lines; the
 overlapped model-parallel schedule is ~2k lines), and the autotuner
 explores each workload's schedule space in ~9-12 seconds.
 
-We measure the same three quantities for the reproduction: generated
-Python-kernel lines (the CUDA stand-in), DSL program+schedule lines,
+We measure the same three quantities for the reproduction: lines of
+the generated per-rank Python module (the per-GPU CUDA stand-in), DSL
+program+schedule lines,
 and autotuner wall-clock (our candidates are costed by the DES rather
 than executed on GPUs, so tuning takes milliseconds — both numbers are
 reported).

@@ -6,7 +6,8 @@ and compares the paper's four schedules on the simulated DGX-2:
 Megatron-LM (unfused), MM-AR-C (fused pointwise), GShard-Eq
 (MM-RS-C-AG) and CoCoNet's ol(MM, fuse(RS-C-AG)). Also verifies all
 four schedules agree numerically at a reduced size and shows the
-generated kernel code for the fused collective.
+fused collective's kernel from the generated per-rank module — the
+code every rank runs on its own shard.
 """
 
 import numpy as np
@@ -86,7 +87,7 @@ def show_overlap_timeline():
 
 
 def show_generated_kernel():
-    print("\n=== Generated FusedAllReduce kernel (excerpt) ===")
+    print("\n=== Generated FusedAllReduce kernel, per rank (excerpt) ===")
     wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
     sched = wl.schedule_coconet()
     gen = CodeGenerator("LL128").generate(sched)
@@ -96,7 +97,7 @@ def show_generated_kernel():
     source = gen.kernel_sources[fused_name]
     print("\n".join(source.splitlines()[:18]))
     print(f"  ... ({gen.kernel_loc(fused_name)} lines total, "
-          f"{gen.loc()} for the whole program)")
+          f"{gen.loc()} for the whole per-rank module)")
 
 
 if __name__ == "__main__":

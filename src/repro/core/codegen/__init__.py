@@ -5,27 +5,29 @@ communication operation, (ii) a CUDA kernel for fused computations,
 (iii) a CUDA kernel for fused-collective communications, or (iv) CUDA
 kernels for overlapping of communication and computation operations."
 
-The reproduction generates *Python* kernels against the simulated
-multi-rank runtime instead of CUDA against real GPUs:
+The reproduction generates *Python* kernels against a per-rank
+communicator instead of CUDA against real GPUs. Like CoCoNet's output,
+the generated module is one program that every rank runs: each kernel
+takes this rank's values plus its
+:class:`repro.runtime.spmd.SpmdCommunicator`, and
 
-* plain collectives become generated calls into the reference
-  collective library (the analogue of calling NCCL);
-* fused computation becomes a generated per-rank kernel with the whole
-  expression chain inlined;
-* fused collectives become generated ring step loops (reduce-scatter
-  phase, fused computation applied to the scatter-complete slice,
-  all-gather phase) with per-protocol pack handling;
-* overlapped groups become a generated chunk orchestrator with
-  spin-lock flags, producing chunks in each rank's ring order.
+* plain collectives become one rendezvous call on the communicator
+  (the analogue of calling NCCL);
+* fused computation becomes a generated kernel computing this rank's
+  shard with the whole expression chain inlined;
+* fused collectives evaluate their communication and computation in
+  program order on this rank's slice, with per-protocol pack handling;
+* overlapped groups become a generated chunk orchestrator: the
+  producer GEMM releases its output chunk by chunk on a stream thread
+  while the consuming collective ingests each chunk.
 
 Every generated module is executable, and its results are required (by
-the differential tests) to match the interpreting executor exactly.
-Generated line counts feed Table 3.
+the differential tests) to match the lowered interpreter bit for bit.
+Generated line counts of this per-rank module feed Table 3.
 
-``CodeGenerator(target="spmd")`` emits a second flavour of module: a
-per-rank program whose kernels bind to a
-:class:`repro.runtime.spmd.SpmdCommunicator` and execute as one real OS
-process per rank (:class:`GeneratedSpmdProgram`).
+:class:`GeneratedProgram` runs the module either in this process with
+one thread per rank (``run``) or as one spawned OS process per rank
+(``launch``, what ``Executor.run_spmd`` calls).
 
 ``CodeGenerator(target="native")`` emits the same per-rank module with
 the compute segments rendered to C — elementwise chains fused into one
@@ -36,16 +38,11 @@ content-addressed kernel cache. Communication still runs over the
 early.
 """
 
-from repro.core.codegen.generator import (
-    CodeGenerator,
-    GeneratedProgram,
-    GeneratedSpmdProgram,
-)
+from repro.core.codegen.generator import CodeGenerator, GeneratedProgram
 from repro.core.codegen.loc import count_loc
 
 __all__ = [
     "CodeGenerator",
     "GeneratedProgram",
-    "GeneratedSpmdProgram",
     "count_loc",
 ]

@@ -95,7 +95,7 @@ def simulate_ring_allreduce(values: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Execute ring AllReduce step by step on numpy arrays.
 
     Used by tests to show the ring algorithm computes the same result
-    as the reference :func:`repro.runtime.collectives.allreduce`.
+    as the reference :func:`repro.runtime.collectives.allreduce_reference`.
     Accumulates in float64 like the reference.
     """
     n = len(values)
@@ -130,7 +130,7 @@ def simulate_alltoall(
 
     Replays exactly the sends of :func:`all_to_all_steps`; used by tests
     to prove the step schedule computes the same result as the reference
-    :func:`repro.runtime.collectives.alltoall`.
+    :func:`repro.runtime.collectives.alltoall_reference`.
     """
     n = len(values)
     if n == 1:

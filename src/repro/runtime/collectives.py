@@ -5,7 +5,7 @@ must match. Reductions accumulate in float64 in rank order, so an
 AllReduce and its ReduceScatter+AllGather split produce identical
 results — the determinism the transformation-equivalence tests rely on.
 
-Each collective exists in two forms sharing one public name:
+Each collective exists in two forms:
 
 * ``*_reference`` — the original dict-of-ranks implementation
   (``{global rank -> ndarray}``), kept as the oracle;
@@ -17,11 +17,11 @@ Each collective exists in two forms sharing one public name:
   reshape/transpose compositions, and Reduce/Broadcast are indexed
   assignments.
 
-The public functions (``allreduce``, ``alltoall``, ...) dispatch on the
-input representation — a dict selects the reference backend, an ndarray
-the vectorized one — so the executor, the generated modules and the
-tests all call one API. The two backends are property-tested
-bit-identical (``np.array_equal``); see ``tests/test_runtime_vectorized``.
+The executor calls the backend matching its world (dict storage for
+``Executor(reference=True)``, stacked arrays otherwise), and the SPMD
+communicator applies the same float64 rank-order formulas to its
+gathered rows. The two backends are property-tested bit-identical
+(``np.array_equal``); see ``tests/test_runtime_vectorized``.
 
 ``context`` parameters thread the originating tensor/op name into
 divisibility errors so uneven-sharding mistakes are debuggable from the
@@ -30,7 +30,7 @@ message alone.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ from repro.runtime.world import (
 )
 
 RankValues = Dict[int, np.ndarray]
-Values = Union[RankValues, np.ndarray]
 
 
 def _accumulate(values: RankValues, group: ProcessGroup, op: str) -> np.ndarray:
@@ -153,8 +152,8 @@ def alltoall_intra_reference(
     rank ``(a, p)`` of its node, the chunks destined for the ranks that
     share local index ``q``, regrouped by destination node: output chunk
     ``b*m + p`` holds source ``(a, p)``'s chunk for rank ``(b, q)``.
-    Composing :func:`alltoall_inter` after this phase reproduces the flat
-    :func:`alltoall` exactly.
+    Composing :func:`alltoall_inter_reference` after this phase
+    reproduces the flat :func:`alltoall_reference` exactly.
     """
     n = group.size
     k, m = _node_grid(group, node_size)
@@ -378,90 +377,3 @@ def _chunk_extent(
     per_rank_shape: Tuple[int, ...], dim: int, parts: int, context: str
 ) -> int:
     return check_divisible(per_rank_shape, dim, parts, context)
-
-
-# ---------------------------------------------------------------------------
-# Public API: one name per collective, dispatching on the representation.
-# ---------------------------------------------------------------------------
-
-
-def allreduce(
-    values: Values, group: ProcessGroup, op: str, dtype: np.dtype
-) -> Values:
-    """Every rank receives the reduction of all ranks' values."""
-    if isinstance(values, dict):
-        return allreduce_reference(values, group, op, dtype)
-    return allreduce_vectorized(values, group, op, dtype)
-
-
-def reducescatter(
-    values: Values,
-    group: ProcessGroup,
-    op: str,
-    dim: int,
-    dtype: np.dtype,
-    context: str = "",
-) -> Values:
-    """Rank i receives slice i of the reduction."""
-    if isinstance(values, dict):
-        return reducescatter_reference(values, group, op, dim, dtype, context)
-    return reducescatter_vectorized(values, group, op, dim, dtype, context)
-
-
-def allgather(values: Values, group: ProcessGroup, dim: int) -> Values:
-    """Every rank receives the concatenation of all ranks' slices."""
-    if isinstance(values, dict):
-        return allgather_reference(values, group, dim)
-    return allgather_vectorized(values, group, dim)
-
-
-def alltoall(
-    values: Values, group: ProcessGroup, dim: int, context: str = ""
-) -> Values:
-    """Rank ``i`` receives chunk ``i`` of every rank, in source order."""
-    if isinstance(values, dict):
-        return alltoall_reference(values, group, dim, context)
-    return alltoall_vectorized(values, group, dim, context)
-
-
-def alltoall_intra(
-    values: Values,
-    group: ProcessGroup,
-    dim: int,
-    node_size: int,
-    context: str = "",
-) -> Values:
-    """Intra-node phase of the hierarchical AllToAll."""
-    if isinstance(values, dict):
-        return alltoall_intra_reference(values, group, dim, node_size, context)
-    return alltoall_intra_vectorized(values, group, dim, node_size, context)
-
-
-def alltoall_inter(
-    values: Values,
-    group: ProcessGroup,
-    dim: int,
-    node_size: int,
-    context: str = "",
-) -> Values:
-    """Inter-node phase of the hierarchical AllToAll."""
-    if isinstance(values, dict):
-        return alltoall_inter_reference(values, group, dim, node_size, context)
-    return alltoall_inter_vectorized(values, group, dim, node_size, context)
-
-
-def reduce(
-    values: Values, group: ProcessGroup, op: str, root: int, dtype: np.dtype
-) -> Values:
-    """The root rank receives the reduction; non-root ranks keep their
-    input values (NCCL leaves non-root receive buffers unmodified)."""
-    if isinstance(values, dict):
-        return reduce_reference(values, group, op, root, dtype)
-    return reduce_vectorized(values, group, op, root, dtype)
-
-
-def broadcast(values: Values, group: ProcessGroup, root: int) -> Values:
-    """Every rank receives the root rank's value."""
-    if isinstance(values, dict):
-        return broadcast_reference(values, group, root)
-    return broadcast_vectorized(values, group, root)

@@ -288,7 +288,7 @@ class Executor:
             protocol, target=codegen_target
         ).generate(scheduled)
         if tracer is None:
-            return generated.run(
+            return generated.launch(
                 inputs,
                 nranks=nranks,
                 allow_downcast=allow_downcast,
@@ -306,7 +306,7 @@ class Executor:
         trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
         t_base = tracer.now()
         try:
-            return generated.run(
+            return generated.launch(
                 inputs,
                 nranks=nranks,
                 allow_downcast=allow_downcast,
@@ -442,7 +442,6 @@ class Executor:
         scheduled,
         inputs: Mapping[str, np.ndarray],
         allow_downcast: Optional[bool] = None,
-        trace: Optional[list] = None,
         tracer=None,
     ) -> ProgramResult:
         """Interpret the lowered instruction stream of a schedule.
@@ -460,16 +459,11 @@ class Executor:
         boundaries included.
 
         ``scheduled`` may be a Schedule, a Program, or an already
-        lowered program. ``trace``, when a list, receives one event per
-        instruction / chunk: ``("launch", name, stream)``,
-        ``("chunkloop", name, num_chunks, ring)``,
-        ``("chunk", member, step, chunk)``, ``("whole", member, step)``
-        and ``("pack", name, num_buckets, metadata_bytes)`` — the legacy
-        tuple protocol, kept as a compat shim. ``tracer``, when a
-        :class:`repro.observe.Tracer`, receives typed *timed*
-        :class:`~repro.observe.SpanEvent` records for the same steps
-        (see :class:`repro.observe.LoweredRunRecorder`); both may be
-        passed together.
+        lowered program. ``tracer``, when a
+        :class:`repro.observe.Tracer`, receives one typed *timed*
+        :class:`~repro.observe.SpanEvent` per instruction, chunk loop,
+        chunk and whole-member step, and an instant per bucket table
+        (see :class:`repro.observe.LoweredRunRecorder`).
         """
         from repro.core.artifact import Artifact
         from repro.core.lower import (
@@ -510,10 +504,10 @@ class Executor:
                 values[e] = world.state(e.name)
 
         rec = None
-        if trace is not None or tracer is not None:
+        if tracer is not None:
             from repro.observe.record import LoweredRunRecorder
 
-            rec = LoweredRunRecorder(tracer=tracer, legacy=trace)
+            rec = LoweredRunRecorder(tracer)
 
         for instr in lowered.instructions:
             if isinstance(instr, PackScattered):

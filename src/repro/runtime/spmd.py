@@ -1,14 +1,19 @@
-"""Real SPMD execution: one OS process per rank over shared memory.
+"""Real SPMD execution: every rank on its own shared-memory communicator.
 
-Every other backend in this repository — the reference dict world, the
-rank-major vectorized world, the lowered-stream interpreter — executes
-all ranks inside one Python process, so "communication" is a library
-call over arrays it already owns. This module is the first tier where a
-generated program runs as *real concurrent processes*: ``launch`` spawns
-one process per rank (``multiprocessing`` spawn context), each process
-executes the same generated SPMD module (``CodeGenerator`` with
-``target="spmd"``), and ranks rendezvous through a
-:class:`SpmdCommunicator` built on ``multiprocessing.shared_memory``.
+The dict and rank-major worlds and the lowered-stream interpreter all
+execute every rank inside one interpreter loop, so "communication" is
+a library call over arrays it already owns. This module runs the
+generated per-rank module (``CodeGenerator``, ``target="spmd"`` or
+``"native"``) as genuinely concurrent ranks that rendezvous through a
+:class:`SpmdCommunicator` built on ``multiprocessing.shared_memory``,
+with two launchers sharing one rank body (:func:`_run_rank`):
+
+* :func:`launch` spawns one OS process per rank (``multiprocessing``
+  spawn context) — the tier ``Executor.run_spmd`` drives, with fault
+  injection, tracing and elastic recovery;
+* :func:`run_threads` runs one thread per rank in the calling process —
+  what ``GeneratedProgram.run`` uses, so in-process callers execute the
+  very module the rank processes run.
 
 Transport protocol
 ------------------
@@ -63,10 +68,10 @@ Failure handling
 
 A rank that raises stores a failure marker in the flags segment; every
 spin loop polls the marker, so peers blocked mid-collective abort
-promptly instead of deadlocking the rendezvous. The parent tears down
-in a ``finally``: joins (then terminates) every worker and closes and
-unlinks both shared-memory segments, so a failing kernel can never leak
-``/dev/shm`` segments.
+promptly instead of deadlocking the rendezvous. Both launchers tear
+down in a ``finally``: they join every rank (``launch`` terminates
+stragglers) and close and unlink both shared-memory segments, so a
+failing kernel can never leak ``/dev/shm`` segments.
 
 Usage
 -----
@@ -93,9 +98,11 @@ underneath. Not a doctest — it spawns one real OS process per rank:
 from __future__ import annotations
 
 import os
+import threading
 import time
 import traceback
 import uuid
+from contextlib import contextmanager
 from multiprocessing import connection as _mp_connection
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
@@ -128,6 +135,7 @@ __all__ = [
     "SpmdTimeout",
     "SpmdWorkerError",
     "launch",
+    "run_threads",
     "scaled_default_timeout",
     "CollectivePool",
 ]
@@ -1191,8 +1199,6 @@ class _Stream(object):
     """A worker thread standing in for one GPU stream."""
 
     def __init__(self, fn, comm: SpmdCommunicator) -> None:
-        import threading
-
         self._exc: Optional[BaseException] = None
         self._comm = comm
 
@@ -1229,33 +1235,77 @@ class _Stream(object):
 def _module_source(spec) -> str:
     """Resolve a worker module spec to executable source.
 
-    ``spec`` is either raw generated source (a plain string — the
-    historical path, still used when a caller hands ``launch`` an
-    explicit module) or ``("artifact", text, protocol[, target])``: a
-    serialized :mod:`repro.core.artifact` document from which this rank
-    derives its module by deserializing the portable IR and running the
-    code generator locally — the worker never needs the originating
-    Python objects, only the artifact text. The optional fourth element
-    selects the codegen target (``"spmd"`` when absent — specs shipped
-    by older callers stay valid); ``"native"`` workers rebuild the same
-    C source as the parent and resolve it through the shared
+    ``spec`` is either raw generated source (a plain string, used when
+    a caller hands ``launch`` an explicit module) or ``("artifact",
+    text, protocol, target)``: a serialized :mod:`repro.core.artifact`
+    document from which this rank derives its module by deserializing
+    the portable IR and running the code generator locally for the
+    given codegen target — the worker never needs the originating
+    Python objects, only the artifact text. ``"native"`` workers rebuild
+    the same C source as the parent and resolve it through the shared
     content-addressed kernel cache, so at most one rank per machine
     actually compiles.
     """
     if isinstance(spec, str):
         return spec
-    kind = spec[0]
+    kind, text, protocol, target = spec
     if kind == "artifact":
         from repro.core import artifact as artifact_mod
         from repro.core.codegen import CodeGenerator
 
-        target = spec[3] if len(spec) > 3 else "spmd"
-        art = artifact_mod.loads(spec[1])
         # hand the artifact itself to generate(): the native target
         # memoizes rendered modules by the artifact's content hash
-        gen = CodeGenerator(spec[2], target=target).generate(art)
-        return gen.source
+        art = artifact_mod.loads(text)
+        return CodeGenerator(protocol, target=target).generate(art).source
     raise ExecutionError(f"unknown SPMD module spec kind {kind!r}")
+
+
+def _run_rank(rank: int, attach, module, inputs: Dict[str, np.ndarray]):
+    """One rank's whole run, shared by the process and thread launchers.
+
+    ``attach()`` returns this rank's :class:`SpmdCommunicator` and
+    ``module()`` the compiled module code. Returns the report the
+    launcher classifies — ``("ok", outputs, states, seconds)``,
+    ``("aborted", message)`` or ``("error", summary, traceback,
+    context)`` — and always closes the communicator.
+    """
+    comm = None
+    try:
+        comm = attach()
+        namespace: Dict[str, object] = {}
+        exec(module(), namespace)
+        ensure = namespace.get("_ensure_native")
+        if ensure is not None:
+            # compile/load native kernels before the timing barrier so
+            # the one-time cc invocation and dlopen+BLAS bind count as
+            # startup (like spawn), not as execution time
+            ensure(comm)
+        # synchronize before timing so launch stagger (rank 0 idling in
+        # its first collective until the last rank is up) does not
+        # count as execution time
+        comm.barrier()
+        t0 = time.perf_counter()
+        outputs, states = namespace["run_rank"](comm, inputs)
+        return ("ok", outputs, states, time.perf_counter() - t0)
+    except SpmdPeerAbort as exc:
+        return ("aborted", str(exc))
+    except BaseException as exc:  # noqa: BLE001 - reported to the launcher
+        if comm is not None:
+            comm.signal_error(_ERR_FAILED)
+            context = comm.error_context()
+        else:
+            context = {"rank": rank, "op": "", "site": "", "seq": 0}
+        summary = f"rank {rank}: {type(exc).__name__}: {exc}"
+        if context.get("op") or context.get("site"):
+            summary += (
+                f" (op {context.get('op') or '?'!r}, "
+                f"site {context.get('site') or '?'!r}, "
+                f"seq {context.get('seq', 0)})"
+            )
+        return ("error", summary, traceback.format_exc(), context)
+    finally:
+        if comm is not None:
+            comm.close()
 
 
 def _rank_main(
@@ -1272,51 +1322,20 @@ def _rank_main(
     trace_path: Optional[str],
     conn,
 ) -> None:
-    comm = None
     try:
-        comm = SpmdCommunicator.attach(
-            layout, rank, data_name, flags_name, wire_s_per_mb, timeout,
-            trace_path=trace_path, soft_timeout=soft_timeout,
-            faults=fault_plan,
-        )
-        namespace: Dict[str, object] = {}
-        exec(
-            compile(_module_source(source), f"<spmd rank {rank}>", "exec"),
-            namespace,
-        )
-        ensure = namespace.get("_ensure_native")
-        if ensure is not None:
-            # compile/load native kernels before the timing barrier so
-            # the one-time cc invocation and dlopen+BLAS bind count as
-            # startup (like spawn), not as execution time
-            ensure(comm)
-        # synchronize before timing so spawn stagger (rank 0 idling in
-        # its first collective until the last process is up) does not
-        # count as execution time
-        comm.barrier()
-        t0 = time.perf_counter()
-        outputs, states = namespace["run_rank"](comm, inputs)
-        elapsed = time.perf_counter() - t0
-        conn.send(("ok", outputs, states, elapsed))
-    except SpmdPeerAbort as exc:
-        conn.send(("aborted", str(exc)))
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        if comm is not None:
-            comm.signal_error(_ERR_FAILED)
-            context = comm.error_context()
-        else:
-            context = {"rank": rank, "op": "", "site": "", "seq": 0}
-        summary = f"rank {rank}: {type(exc).__name__}: {exc}"
-        if context.get("op") or context.get("site"):
-            summary += (
-                f" (op {context.get('op') or '?'!r}, "
-                f"site {context.get('site') or '?'!r}, "
-                f"seq {context.get('seq', 0)})"
-            )
-        conn.send(("error", summary, traceback.format_exc(), context))
+        conn.send(_run_rank(
+            rank,
+            lambda: SpmdCommunicator.attach(
+                layout, rank, data_name, flags_name, wire_s_per_mb,
+                timeout, trace_path=trace_path, soft_timeout=soft_timeout,
+                faults=fault_plan,
+            ),
+            lambda: compile(
+                _module_source(source), f"<spmd rank {rank}>", "exec"
+            ),
+            inputs,
+        ))
     finally:
-        if comm is not None:
-            comm.close()
         conn.close()
 
 
@@ -1356,6 +1375,152 @@ def _assemble(e, per_rank: Dict[int, np.ndarray]) -> np.ndarray:
     from repro.runtime.executor import Executor
 
     return Executor._assemble(e, per_rank)
+
+
+@contextmanager
+def _segments(layout: SpmdLayout):
+    """Create a run's zeroed data + flags segments; always unlinked."""
+    uid = uuid.uuid4().hex[:8]
+    made: List[SharedMemory] = []
+    try:
+        made.append(SharedMemory(
+            create=True, size=layout.data_size, name=f"spmd_{uid}_d"
+        ))
+        made.append(SharedMemory(
+            create=True, size=layout.flags_length() * 8,
+            name=f"spmd_{uid}_f",
+        ))
+        np.ndarray(
+            (layout.flags_length(),), dtype=np.int64, buffer=made[1].buf
+        ).fill(0)
+        yield made[0], made[1]
+    finally:
+        for shm in made:
+            try:
+                shm.close()
+            finally:
+                try:
+                    shm.unlink()
+                except FileNotFoundError:  # pragma: no cover
+                    pass
+
+
+class _Reports:
+    """The rank reports of one run, classified to its root cause.
+
+    A dead process (4) outranks a raised error (3) outranks a silent
+    timeout (2) outranks a peer abort (1) — survivors' aborts are
+    symptoms, never the reported cause.
+    """
+
+    def __init__(self) -> None:
+        self.results: Dict[int, tuple] = {}
+        self.dead_ranks: List[int] = []
+        self._sev = 0
+        self._failure: Tuple[str, str, Optional[dict]] = ("", "", None)
+
+    def fail(
+        self, sev: int, msg: str, detail: str = "",
+        context: Optional[dict] = None,
+    ) -> None:
+        if sev > self._sev:
+            self._sev = sev
+            self._failure = (msg, detail, context)
+
+    def take(self, rank: int, report: tuple) -> None:
+        """Record one :func:`_run_rank` report."""
+        if report[0] == "ok":
+            self.results[rank] = report[1:]
+        elif report[0] == "error":
+            self.fail(3, report[1], report[2], report[3])
+        else:  # aborted by a peer's failure
+            self.fail(1, report[1])
+
+    def result(self, program):
+        """Raise the root-cause failure, or reassemble the run's
+        per-rank outputs and states into a ``ProgramResult``."""
+        from repro.runtime.executor import ProgramResult
+
+        if self._sev:
+            msg, detail, context = self._failure
+            raise SpmdWorkerError(
+                f"SPMD run failed: {msg}" + (f"\n{detail}" if detail else ""),
+                context=context,
+                dead_ranks=self.dead_ranks,
+            )
+        results = self.results
+        outputs = {}
+        for o in program.outputs:
+            per_rank = {r: results[r][0][o.name] for r in o.group}
+            outputs[o.name] = _assemble(o, per_rank)
+        states = {}
+        for t in program.inputs:
+            if not isinstance(t, Tensor):
+                continue
+            per_rank = {r: results[r][1][t.name] for r in t.group}
+            states[t.name] = _assemble(t, per_rank)
+        result = ProgramResult(outputs, states)
+        # per-rank wall-clock of the rank bodies (barrier-synchronized,
+        # so launch time is excluded); the slowest rank is the step time
+        result.spmd_rank_seconds = {r: results[r][2] for r in results}
+        result.spmd_seconds = max(results[r][2] for r in results)
+        return result
+
+
+def run_threads(
+    source: str,
+    program,
+    inputs: Mapping[str, np.ndarray],
+    *,
+    compile_allowance_s: float = 0.0,
+):
+    """Run a generated SPMD module in this process, one thread per rank.
+
+    Every rank thread attaches its own :class:`SpmdCommunicator` to one
+    shared-memory segment pair and runs the same body as a spawned rank
+    (:func:`_run_rank`), so results are bit-identical to
+    :func:`launch`'s. Inputs are cast to the program's dtypes silently.
+    A rank that raises flags its failure, its peers abort their pending
+    waits, and the run raises :class:`SpmdWorkerError`; every rank
+    thread is joined and both segments are unlinked on the way out.
+    """
+    world_size = program.inputs[0].group.world_size
+    shards = _place_per_rank(program, inputs, allow_downcast=True)
+    layout = build_layout(program)
+    timeout = scaled_default_timeout(layout, 0.0, compile_allowance_s)
+    code = compile(source, f"<spmd threads:{program.name}>", "exec")
+    raw: Dict[int, tuple] = {}
+    with _segments(layout) as (data, flags):
+
+        def rank_thread(r: int) -> None:
+            raw[r] = _run_rank(
+                r,
+                lambda: SpmdCommunicator.attach(
+                    layout, r, data.name, flags.name, timeout=timeout
+                ),
+                lambda: code,
+                shards[r],
+            )
+
+        threads = [
+            threading.Thread(
+                target=rank_thread, args=(r,), name=f"spmd-rank{r}",
+                daemon=True,
+            )
+            for r in range(world_size)
+        ]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + timeout + 60.0
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    reports = _Reports()
+    for r in range(world_size):
+        if r in raw:
+            reports.take(r, raw[r])
+        else:
+            reports.fail(2, f"rank {r} did not report within {timeout:.0f}s")
+    return reports.result(program)
 
 
 def launch(
@@ -1423,8 +1588,6 @@ def launch(
     ``compile_allowance_s`` widens the rendezvous deadline once for a
     cold native kernel cache (see :func:`scaled_default_timeout`).
     """
-    from repro.runtime.executor import ProgramResult
-
     if artifact_text is not None:
         module_spec = ("artifact", artifact_text, protocol, codegen_target)
         if program is None:
@@ -1455,160 +1618,96 @@ def launch(
 
     trace_paths: List[Optional[str]] = [None] * world_size
     if trace_dir is not None:
-        import os
-
         for r in range(world_size):
             path = os.path.join(trace_dir, f"rank{r}.ring")
             TraceRing.create(path, trace_capacity).close()
             trace_paths[r] = path
 
-    uid = uuid.uuid4().hex[:8]
-    data_name = f"spmd_{uid}_d"
-    flags_name = f"spmd_{uid}_f"
-    data = flags = None
-    flags_arr: Optional[np.ndarray] = None
     procs: List = []
     conns: List = []
-    dead_ranks: List[int] = []
-    # root-cause classification: a dead process (4) outranks a raised
-    # error (3) outranks a silent timeout (2) outranks a peer abort (1)
-    # — survivors' aborts are symptoms, never the reported cause
-    fail = {"sev": 0, "msg": None, "detail": "", "context": None}
-
-    def _record_failure(
-        sev: int, msg: str, det: str = "", ctx: Optional[dict] = None
-    ) -> None:
-        if sev > fail["sev"]:
-            fail.update(sev=sev, msg=msg, detail=det, context=ctx)
-
-    results: Dict[int, Tuple[Dict, Dict]] = {}
+    reports = _Reports()
     err_off = layout.num_sites * world_size * 2
-    try:
-        data = SharedMemory(
-            create=True, size=layout.data_size, name=data_name
-        )
-        flags = SharedMemory(
-            create=True, size=layout.flags_length() * 8, name=flags_name
-        )
-        flags_arr = np.ndarray(
+    with _segments(layout) as (data, flags):
+        flags_arr: Optional[np.ndarray] = np.ndarray(
             (layout.flags_length(),), dtype=np.int64, buffer=flags.buf
         )
-        flags_arr.fill(0)
 
         def _mark_dead(r: int) -> None:
-            dead_ranks.append(r)
+            reports.dead_ranks.append(r)
             code = procs[r].exitcode
-            _record_failure(
+            reports.fail(
                 4,
                 f"rank {r} died without reporting (exit code {code})",
-                ctx={"rank": r, "op": "", "site": "", "seq": 0,
-                     "dead": True},
+                context={"rank": r, "op": "", "site": "", "seq": 0,
+                         "dead": True},
             )
             # broadcast on the corpse's behalf: peers blocked on its
             # payloads abort promptly instead of spinning to timeout
             flags_arr[err_off + r] = _ERR_DEAD
 
-        ctx_mp = get_context("spawn")
-        for r in range(world_size):
-            parent_conn, child_conn = ctx_mp.Pipe()
-            p = ctx_mp.Process(
-                target=_rank_main,
-                args=(
-                    r, module_spec, layout, data_name, flags_name,
-                    shards[r], wire_s_per_mb, timeout, soft_timeout,
-                    fault_plan, trace_paths[r], child_conn,
-                ),
-                daemon=True,
-            )
-            p.start()
-            child_conn.close()
-            procs.append(p)
-            conns.append(parent_conn)
+        try:
+            ctx_mp = get_context("spawn")
+            for r in range(world_size):
+                parent_conn, child_conn = ctx_mp.Pipe()
+                p = ctx_mp.Process(
+                    target=_rank_main,
+                    args=(
+                        r, module_spec, layout, data.name, flags.name,
+                        shards[r], wire_s_per_mb, timeout, soft_timeout,
+                        fault_plan, trace_paths[r], child_conn,
+                    ),
+                    daemon=True,
+                )
+                p.start()
+                child_conn.close()
+                procs.append(p)
+                conns.append(parent_conn)
 
-        deadline = time.monotonic() + timeout + 60.0
-        pending: Dict[int, object] = dict(enumerate(conns))
-        while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0.0:
-                for r in sorted(pending):
-                    _record_failure(
-                        2, f"rank {r} did not report within {timeout:.0f}s"
-                    )
-                break
-            # wait on result pipes AND process sentinels: a report
-            # wakes us, and so does a silent death
-            waitables = list(pending.values()) + [
-                procs[r].sentinel for r in pending
-            ]
-            _mp_connection.wait(waitables, timeout=min(remaining, 1.0))
-            for r in sorted(pending):
-                conn = pending[r]
-                if conn.poll(0):
-                    del pending[r]
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        _mark_dead(r)
-                        continue
-                    if msg[0] == "ok":
-                        results[r] = (msg[1], msg[2], msg[3])
-                    elif msg[0] == "error":
-                        _record_failure(
-                            3, msg[1], msg[2],
-                            msg[3] if len(msg) > 3 else None,
+            deadline = time.monotonic() + timeout + 60.0
+            pending: Dict[int, object] = dict(enumerate(conns))
+            while pending:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
+                    for r in sorted(pending):
+                        reports.fail(
+                            2,
+                            f"rank {r} did not report within "
+                            f"{timeout:.0f}s",
                         )
-                    else:  # aborted by a peer's failure
-                        _record_failure(1, msg[1])
-                elif not procs[r].is_alive():
-                    del pending[r]
-                    _mark_dead(r)
-    finally:
-        flags_arr = None  # drop the view before closing the segment
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - hung worker
-                p.terminate()
+                    break
+                # wait on result pipes AND process sentinels: a report
+                # wakes us, and so does a silent death
+                waitables = list(pending.values()) + [
+                    procs[r].sentinel for r in pending
+                ]
+                _mp_connection.wait(waitables, timeout=min(remaining, 1.0))
+                for r in sorted(pending):
+                    conn = pending[r]
+                    if conn.poll(0):
+                        del pending[r]
+                        try:
+                            report = conn.recv()
+                        except (EOFError, OSError):
+                            _mark_dead(r)
+                            continue
+                        reports.take(r, report)
+                    elif not procs[r].is_alive():
+                        del pending[r]
+                        _mark_dead(r)
+        finally:
+            flags_arr = None  # drop the view before closing the segment
+            for p in procs:
                 p.join(timeout=5.0)
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for shm in (data, flags):
-            if shm is not None:
+            for p in procs:
+                if p.is_alive():  # pragma: no cover - hung worker
+                    p.terminate()
+                    p.join(timeout=5.0)
+            for conn in conns:
                 try:
-                    shm.close()
-                finally:
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:  # pragma: no cover
-                        pass
-    if fail["msg"] is not None:
-        detail = fail["detail"]
-        raise SpmdWorkerError(
-            f"SPMD run failed: {fail['msg']}"
-            + (f"\n{detail}" if detail else ""),
-            context=fail["context"],
-            dead_ranks=dead_ranks,
-        )
-
-    outputs = {}
-    for o in program.outputs:
-        per_rank = {r: results[r][0][o.name] for r in o.group}
-        outputs[o.name] = _assemble(o, per_rank)
-    states = {}
-    for t in program.inputs:
-        if not isinstance(t, Tensor):
-            continue
-        per_rank = {r: results[r][1][t.name] for r in t.group}
-        states[t.name] = _assemble(t, per_rank)
-    result = ProgramResult(outputs, states)
-    # per-rank wall-clock of the rank bodies (barrier-synchronized, so
-    # process spawn time is excluded); the slowest rank is the step time
-    result.spmd_rank_seconds = {r: results[r][2] for r in results}
-    result.spmd_seconds = max(results[r][2] for r in results)
-    return result
+                    conn.close()
+                except OSError:  # pragma: no cover
+                    pass
+    return reports.result(program)
 
 
 # ---------------------------------------------------------------------------

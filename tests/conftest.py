@@ -64,3 +64,22 @@ def attention_inputs(rng, batch=4, seq=8, hidden=16):
 @pytest.fixture
 def attention_program():
     return build_attention_program()
+
+
+def assert_matches_lowered(result, sched, inputs):
+    """``result`` is bit-identical to ``run_lowered`` on every output
+    and tensor state of the schedule's program."""
+    from repro.runtime import Executor
+
+    program = getattr(sched, "program", sched)
+    ref = Executor().run_lowered(sched, inputs, allow_downcast=True)
+    for o in program.outputs:
+        np.testing.assert_array_equal(
+            result.output(o.name), ref.output(o.name), err_msg=o.name
+        )
+    for t in program.inputs:
+        if isinstance(t, Tensor):
+            np.testing.assert_array_equal(
+                result.tensor_state(t.name), ref.tensor_state(t.name),
+                err_msg=f"state {t.name}",
+            )

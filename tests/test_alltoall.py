@@ -52,6 +52,7 @@ from repro.nccl.cost_model import (
     p2p_time,
 )
 from repro.runtime import Executor, collectives
+from tests.conftest import assert_matches_lowered
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ class TestReferenceCollective:
         vals = {
             r: np.arange(n * 2, dtype=np.float32) + 100 * r for r in range(n)
         }
-        out = collectives.alltoall(vals, world(n), 0)
+        out = collectives.alltoall_reference(vals, world(n), 0)
         for i in range(n):
             for j in range(n):
                 np.testing.assert_array_equal(
@@ -82,34 +83,34 @@ class TestReferenceCollective:
         # dispatch followed by combine restores token ownership
         n = 4
         vals = _values(rng, n, (n, 3))
-        once = collectives.alltoall(vals, world(n), 0)
-        twice = collectives.alltoall(once, world(n), 0)
+        once = collectives.alltoall_reference(vals, world(n), 0)
+        twice = collectives.alltoall_reference(once, world(n), 0)
         for r in range(n):
             np.testing.assert_array_equal(twice[r], vals[r])
 
     def test_single_rank_is_identity(self, rng):
         vals = _values(rng, 1, (4,))
-        out = collectives.alltoall(vals, world(1), 0)
+        out = collectives.alltoall_reference(vals, world(1), 0)
         np.testing.assert_array_equal(out[0], vals[0])
 
     def test_along_inner_dim(self, rng):
         n = 2
         vals = _values(rng, n, (3, 2 * n))
-        out = collectives.alltoall(vals, world(n), 1)
+        out = collectives.alltoall_reference(vals, world(n), 1)
         np.testing.assert_array_equal(out[0][:, :2], vals[0][:, :2])
         np.testing.assert_array_equal(out[0][:, 2:], vals[1][:, :2])
 
     def test_subgroup(self, rng):
         g = ProcessGroup(4, 4, 8)
         vals = {r: rng.randn(8).astype(np.float32) for r in g}
-        out = collectives.alltoall(vals, g, 0)
+        out = collectives.alltoall_reference(vals, g, 0)
         assert set(out) == set(g.ranks)
         np.testing.assert_array_equal(out[5][2:4], vals[5][2:4])
 
     def test_total_content_preserved(self, rng):
         n = 4
         vals = _values(rng, n, (n * 2, 3))
-        out = collectives.alltoall(vals, world(n), 0)
+        out = collectives.alltoall_reference(vals, world(n), 0)
         before = np.sort(np.concatenate([vals[r].ravel() for r in range(n)]))
         after = np.sort(np.concatenate([out[r].ravel() for r in range(n)]))
         np.testing.assert_array_equal(before, after)
@@ -132,7 +133,7 @@ class TestStepSimulatorEquivalence:
     def test_matches_reference(self, rng, n, shape_fn):
         shape = shape_fn(n)
         vals = _values(rng, n, shape)
-        ref = collectives.alltoall(vals, world(n), 0)
+        ref = collectives.alltoall_reference(vals, world(n), 0)
         sim = simulate_alltoall([vals[r] for r in range(n)], 0)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
@@ -140,7 +141,7 @@ class TestStepSimulatorEquivalence:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_reference_inner_dim(self, rng, n):
         vals = _values(rng, n, (3, 2 * n))
-        ref = collectives.alltoall(vals, world(n), 1)
+        ref = collectives.alltoall_reference(vals, world(n), 1)
         sim = simulate_alltoall([vals[r] for r in range(n)], 1)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
@@ -154,7 +155,7 @@ class TestStepSimulatorEquivalence:
     def test_equivalence_property(self, n, per, seed):
         r = np.random.RandomState(seed)
         vals = [r.randn(n * per).astype(np.float32) for _ in range(n)]
-        ref = collectives.alltoall(
+        ref = collectives.alltoall_reference(
             {i: v for i, v in enumerate(vals)}, world(n), 0
         )
         sim = simulate_alltoall(vals, 0)
@@ -193,9 +194,9 @@ class TestHierarchicalPhases:
     @pytest.mark.parametrize("n,m", [(4, 2), (8, 2), (8, 4), (8, 8), (4, 4)])
     def test_composition_equals_flat(self, rng, n, m):
         vals = _values(rng, n, (n * 2, 3))
-        flat = collectives.alltoall(vals, world(n), 0)
-        intra = collectives.alltoall_intra(vals, world(n), 0, m)
-        inter = collectives.alltoall_inter(intra, world(n), 0, m)
+        flat = collectives.alltoall_reference(vals, world(n), 0)
+        intra = collectives.alltoall_intra_reference(vals, world(n), 0, m)
+        inter = collectives.alltoall_inter_reference(intra, world(n), 0, m)
         for r in range(n):
             np.testing.assert_array_equal(flat[r], inter[r])
 
@@ -203,15 +204,15 @@ class TestHierarchicalPhases:
         # with one node the inter phase has nothing to exchange
         n = 4
         vals = _values(rng, n, (n,))
-        intra = collectives.alltoall_intra(vals, world(n), 0, n)
-        flat = collectives.alltoall(vals, world(n), 0)
+        intra = collectives.alltoall_intra_reference(vals, world(n), 0, n)
+        flat = collectives.alltoall_reference(vals, world(n), 0)
         for r in range(n):
             np.testing.assert_array_equal(intra[r], flat[r])
 
     def test_indivisible_node_size_raises(self, rng):
         vals = _values(rng, 4, (4,))
         with pytest.raises(ValueError):
-            collectives.alltoall_intra(vals, world(4), 0, 3)
+            collectives.alltoall_intra_reference(vals, world(4), 0, 3)
 
 
 class TestOpConstruction:
@@ -611,11 +612,10 @@ class TestTransforms:
         prog, x, a2a, _, _ = _exchange_program()
         from repro.core.codegen import CodeGenerator
 
-        gen = CodeGenerator().generate(Schedule(prog))
+        sched = Schedule(prog)
+        gen = CodeGenerator().generate(sched)
         inputs = {"x": rng.randn(4, 8, 3)}
-        ref = Executor().run(prog, inputs).output("shifted")
-        got = gen.run(inputs).output("shifted")
-        np.testing.assert_allclose(ref, got, rtol=1e-6)
+        assert_matches_lowered(gen.run(inputs), sched, inputs)
 
     def test_codegen_fused_and_hierarchical(self, rng):
         from repro.core.codegen import CodeGenerator
@@ -628,18 +628,18 @@ class TestTransforms:
         results = sched.reorder(a2a, scaled, shifted)
         sched.fuse(*results, policy=AllToAllFuse)
         gen = CodeGenerator().generate(sched)
+        got = gen.run(inputs)
+        assert_matches_lowered(got, sched, inputs)
         out_name = sched.program.outputs[0].name
-        np.testing.assert_allclose(
-            ref, gen.run(inputs).output(out_name), rtol=1e-6
-        )
+        np.testing.assert_allclose(ref, got.output(out_name), rtol=1e-6)
 
         prog2, x2, a2a2, _, _ = _exchange_program()
         sched2 = Schedule(prog2)
         sched2.split(a2a2, A2ASplitHierarchical, node_size=2)
         gen2 = CodeGenerator().generate(sched2)
-        np.testing.assert_allclose(
-            ref, gen2.run(inputs).output("shifted"), rtol=1e-6
-        )
+        got2 = gen2.run(inputs)
+        assert_matches_lowered(got2, sched2, inputs)
+        np.testing.assert_allclose(ref, got2.output("shifted"), rtol=1e-6)
 
 
 class TestCostModel:

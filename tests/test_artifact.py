@@ -217,7 +217,7 @@ class TestSpmdFromArtifact:
             )
 
     def test_generated_module_ships_its_artifact(self, monkeypatch):
-        # run() hands the serialized artifact to spmd.launch so rank
+        # launch() hands the serialized artifact to spmd.launch so rank
         # workers rebuild their module from the portable IR, not from
         # pickled live objects
         from repro.runtime import spmd as spmd_mod
@@ -232,7 +232,7 @@ class TestSpmdFromArtifact:
             return "launched"
 
         monkeypatch.setattr(spmd_mod, "launch", fake_launch)
-        assert gen.run({}) == "launched"
+        assert gen.launch({}) == "launched"
         text = seen["artifact_text"]
         assert text is not None
         shipped = artifact.loads(text)

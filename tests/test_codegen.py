@@ -14,11 +14,14 @@ from repro.core.transforms import (
     Schedule,
 )
 from repro.errors import CodegenError
-from repro.runtime import Executor
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.pipeline import PipelineWorkload
-from tests.conftest import attention_inputs, build_attention_program
+from tests.conftest import (
+    assert_matches_lowered,
+    attention_inputs,
+    build_attention_program,
+)
 
 
 @pytest.fixture
@@ -26,45 +29,15 @@ def rng():
     return np.random.RandomState(21)
 
 
-def assert_generated_matches(sched, inputs, protocol="Simple", rtol=1e-6):
-    ref = Executor().run(sched.program, inputs)
+def assert_generated_matches(sched, inputs, protocol="Simple"):
+    """The generated module, run in-process, is bit-identical to the
+    lowered interpreter on outputs and tensor states."""
     gen = CodeGenerator(protocol).generate(sched)
-    got = gen.run(inputs)
-    for out in sched.program.outputs:
-        np.testing.assert_allclose(
-            got.output(out.name), ref.output(out.name), rtol=rtol, atol=1e-9
-        )
-    for t in sched.program.inputs:
-        if hasattr(t, "updated_by") and t.updated_by is not None:
-            np.testing.assert_allclose(
-                got.tensor_state(t.name), ref.tensor_state(t.name),
-                rtol=rtol, atol=1e-9,
-            )
+    assert_matches_lowered(gen.run(inputs), sched, inputs)
     return gen
 
 
 class TestDeviceLibrary:
-    def test_ring_reduce_scatter_matches_sum(self, rng):
-        n = 4
-        vals = {r: rng.randn(8).astype(np.float32) for r in range(n)}
-        out = dev.ring_reduce_scatter(vals, list(range(n)), 0)
-        total = np.sum([vals[r].astype(np.float64) for r in range(n)], axis=0)
-        for i in range(n):
-            np.testing.assert_allclose(
-                out[i], total[i * 2 : (i + 1) * 2], rtol=1e-6
-            )
-
-    def test_ring_all_gather_roundtrip(self, rng):
-        n = 4
-        full = rng.randn(8).astype(np.float64)
-        slices = {r: full[r * 2 : (r + 1) * 2] for r in range(n)}
-        out = dev.ring_all_gather(slices, list(range(n)), 0)
-        for r in range(n):
-            np.testing.assert_array_equal(out[r], full)
-
-    def test_pack_stats(self):
-        assert dev.pack_stats(100, 16) == (6, 4)
-
     def test_slice_bounds(self):
         assert dev.slice_bounds(8, 1, 4) == (2, 4)
 
@@ -118,10 +91,23 @@ class TestDifferentialExecution:
     def test_generated_overlap_runs_producer_in_chunk_order(self, rng):
         wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
         sched = wl.schedule_coconet()
+        (loop,) = sched.lowered().chunk_loops()
+        # Figure 9's GEMM→collective pair lowers to a ring chunk loop
+        assert loop.ring
         gen = CodeGenerator("Simple").generate(sched)
-        # the orchestrator encodes Figure 9's ring chunk order
-        assert "(_i + _step) % NCHUNKS" in gen.source
-        assert "_flags" in gen.source
+        orchestrator = gen.kernel_sources[loop.name]
+        # the GEMM output is published chunk by chunk on a producer
+        # stream while the consumer collective ingests it, and the
+        # producer is joined even when the consumer raises
+        assert "comm.begin_chunked(" in orchestrator
+        assert "_producer = comm.start_stream(" in orchestrator
+        assert "comm.publish_chunks(_token" in orchestrator
+        finally_at = orchestrator.index("finally:")
+        assert orchestrator.index("comm.join_streams(_producer)") > finally_at
+        assert_generated_matches(sched, {
+            "w": rng.randn(16, 16), "b": rng.randn(16),
+            "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
+        })
 
 
 class TestLoCAccounting:
@@ -167,6 +153,11 @@ class TestValidation:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(CodegenError):
             CodeGenerator("LL256")
+
+    def test_per_rank_module_is_the_only_python_target(self):
+        assert CodeGenerator().target == "spmd"
+        with pytest.raises(CodegenError, match="target"):
+            CodeGenerator(target="sim")
 
     def test_generated_module_is_importable_source(self):
         wl = AdamWorkload.build(32, 4, grad_dtype=FP32)

@@ -29,7 +29,7 @@ from repro.core.transforms import (
     ComputationFuse,
     Schedule,
 )
-from repro.runtime import Executor
+from tests.conftest import assert_matches_lowered
 
 
 @pytest.fixture
@@ -37,19 +37,15 @@ def rng():
     return np.random.RandomState(55)
 
 
-def roundtrip(prog_or_sched, inputs, protocol="Simple", rtol=1e-6):
+def roundtrip(prog_or_sched, inputs, protocol="Simple"):
+    """Generated module run in-process ≡ run_lowered, bit for bit."""
     sched = (
         prog_or_sched
         if isinstance(prog_or_sched, Schedule)
         else Schedule(prog_or_sched)
     )
-    ref = Executor().run(sched.program, inputs)
     gen = CodeGenerator(protocol).generate(sched)
-    got = gen.run(inputs)
-    for o in sched.program.outputs:
-        np.testing.assert_allclose(
-            got.output(o.name), ref.output(o.name), rtol=rtol, atol=1e-9
-        )
+    assert_matches_lowered(gen.run(inputs), sched, inputs)
     return gen
 
 
@@ -71,8 +67,8 @@ class TestLibraryCollectives:
         ag = AllGather(rs, name="ag")
         prog = Execute("p", [x], [ag])
         gen = roundtrip(prog, {"x": rng.randn(4, 8)})
-        assert "lib.reducescatter" in gen.source
-        assert "lib.allgather" in gen.source
+        assert "comm.reducescatter" in gen.source
+        assert "comm.allgather" in gen.source
 
     def test_max_allreduce(self, rng):
         W = world(4)
@@ -100,7 +96,7 @@ class TestComputeCodegen:
         back = Cast(FP32, half, name="back")
         y = Binary("*", back, 2.0, name="y")
         prog = Execute("p", [x], [y])
-        gen = roundtrip(prog, {"x": rng.randn(16)}, rtol=1e-3)
+        gen = roundtrip(prog, {"x": rng.randn(16)})
         assert "astype(np.float16)" in gen.source
 
     def test_norm_and_reducetensor_non_cross(self, rng):
@@ -142,7 +138,7 @@ class TestFusedARForm:
         sched = Schedule(prog)
         sched.fuse(ar, y, z, policy=AllReduceFuse)
         gen = roundtrip(sched, {"x": rng.randn(4, 8)})
-        assert "lib.allreduce" in gen.source
+        assert "comm.allreduce" in gen.source
 
 
 class TestEmittedSource:

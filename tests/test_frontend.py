@@ -8,6 +8,7 @@ from repro.errors import CoCoNetError
 from repro.frontend.integration import DistributedModule
 from repro.runtime import Executor
 from repro.workloads.adam import AdamWorkload, adam_reference
+from tests.conftest import assert_matches_lowered
 
 
 @pytest.fixture
@@ -23,13 +24,16 @@ def module():
 class TestRegistration:
     def test_register_and_call(self, module, rng):
         wl = AdamWorkload.build(32, 4, grad_dtype=FP32)
-        fn = module.register(wl.schedule_fused(), name="adam_step")
+        sched = wl.schedule_fused()
+        fn = module.register(sched, name="adam_step")
         inputs = dict(
             g=rng.randn(4, 32) * 0.1, p=rng.randn(32),
             m=rng.randn(32) * 0.01, v=np.abs(rng.randn(32)) * 0.01,
             lr=0.01, t=1.0,
         )
         result = fn(inputs)
+        # the registered function runs the generated per-rank module
+        assert_matches_lowered(result, sched, inputs)
         p_ref, _, _ = adam_reference(
             inputs["g"], inputs["p"], inputs["m"], inputs["v"], 0.01, 1.0
         )

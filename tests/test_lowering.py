@@ -375,40 +375,6 @@ class TestChunkTrace:
             "num_chunks": loop.num_chunks, "ring": True
         }
 
-    def test_legacy_trace_shim_matches_structured_events(self, rng):
-        """The pre-observe tuple protocol (``trace=[]``) still works,
-        alongside and identical in content to the structured events."""
-        from repro.observe import Tracer
-
-        wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
-        sched = wl.schedule_coconet()
-        inputs = {
-            "w": rng.randn(16, 16), "b": rng.randn(16),
-            "in": rng.randn(4, 8, 16), "r": rng.randn(4, 8, 16),
-        }
-        trace = []
-        tracer = Tracer()
-        Executor().run_lowered(
-            sched, inputs, allow_downcast=True, trace=trace,
-            tracer=tracer,
-        )
-        (loop,) = sched.lowered().chunk_loops()
-        mm = loop.entries[0].name
-        chunk_events = [e for e in trace if e[0] == "chunk"]
-        assert [e[1:] for e in chunk_events] == [
-            (mm, c, c) for c in range(loop.num_chunks)
-        ]
-        whole_at = trace.index(
-            next(e for e in trace if e[0] == "whole")
-        )
-        assert all(trace.index(e) < whole_at for e in chunk_events)
-        assert ("chunkloop", loop.name, loop.num_chunks, True) in trace
-        # same stream of work, one record per structured span
-        assert len(chunk_events) == len(tracer.spans(cat="chunk"))
-        assert [e[1] for e in trace if e[0] == "launch"] == [
-            e.name for e in tracer.spans(cat="launch")
-        ]
-
     def test_moe_pipeline_interleaves_producer_and_consumer_chunks(
         self, rng
     ):

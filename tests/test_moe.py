@@ -12,6 +12,7 @@ from repro.core.transforms.plan import KernelKind
 from repro.perf import ProgramCostModel
 from repro.runtime import Executor
 from repro.workloads.moe import MoEWorkload, moe_reference
+from tests.conftest import assert_matches_lowered
 
 
 @pytest.fixture
@@ -78,7 +79,9 @@ class TestEquivalence:
         ref = moe_reference(inputs["x"], inputs["w1"], inputs["w2"])
         for name, sched in wl.schedules().items():
             gen = CodeGenerator().generate(sched)
-            got = gen.run(inputs).output(sched.program.outputs[0].name)
+            res = gen.run(inputs)
+            assert_matches_lowered(res, sched, inputs)
+            got = res.output(sched.program.outputs[0].name)
             np.testing.assert_allclose(ref, got, rtol=1e-4, atol=1e-6, err_msg=name)
 
     def test_reference_rejects_bad_expert_count(self, rng):

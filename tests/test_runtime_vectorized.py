@@ -66,8 +66,8 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per,))
-        ref = collectives.allreduce(d, g, op, np.float32)
-        vec = collectives.allreduce(s, g, op, np.float32)
+        ref = collectives.allreduce_reference(d, g, op, np.float32)
+        vec = collectives.allreduce_vectorized(s, g, op, np.float32)
         assert_backends_equal(ref, vec, g)
 
     @given(
@@ -81,11 +81,11 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per, n * per))
-        ref_rs = collectives.reducescatter(d, g, "+", dim, np.float32)
-        vec_rs = collectives.reducescatter(s, g, "+", dim, np.float32)
+        ref_rs = collectives.reducescatter_reference(d, g, "+", dim, np.float32)
+        vec_rs = collectives.reducescatter_vectorized(s, g, "+", dim, np.float32)
         assert_backends_equal(ref_rs, vec_rs, g)
-        ref_ag = collectives.allgather(ref_rs, g, dim)
-        vec_ag = collectives.allgather(vec_rs, g, dim)
+        ref_ag = collectives.allgather_reference(ref_rs, g, dim)
+        vec_ag = collectives.allgather_vectorized(vec_rs, g, dim)
         assert_backends_equal(ref_ag, vec_ag, g)
 
     @given(
@@ -99,8 +99,8 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per, n * per))
-        ref = collectives.alltoall(d, g, dim)
-        vec = collectives.alltoall(s, g, dim)
+        ref = collectives.alltoall_reference(d, g, dim)
+        vec = collectives.alltoall_vectorized(s, g, dim)
         assert_backends_equal(ref, vec, g)
 
     @given(
@@ -115,29 +115,29 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (6,))
-        ref = collectives.reduce(d, g, op, root, np.float32)
-        vec = collectives.reduce(s, g, op, root, np.float32)
+        ref = collectives.reduce_reference(d, g, op, root, np.float32)
+        vec = collectives.reduce_vectorized(s, g, op, root, np.float32)
         assert_backends_equal(ref, vec, g)
-        ref_bc = collectives.broadcast(ref, g, root)
-        vec_bc = collectives.broadcast(vec, g, root)
+        ref_bc = collectives.broadcast_reference(ref, g, root)
+        vec_bc = collectives.broadcast_vectorized(vec, g, root)
         assert_backends_equal(ref_bc, vec_bc, g)
 
     def test_subgroup_collectives(self):
         rng = np.random.RandomState(9)
         g = ProcessGroup(4, 4, 8)
         d, s = _pair(rng, g, (8,))
-        ref = collectives.allreduce(d, g, "+", np.float32)
-        vec = collectives.allreduce(s, g, "+", np.float32)
+        ref = collectives.allreduce_reference(d, g, "+", np.float32)
+        vec = collectives.allreduce_vectorized(s, g, "+", np.float32)
         assert_backends_equal(ref, vec, g)
-        ref = collectives.alltoall(d, g, 0)
-        vec = collectives.alltoall(s, g, 0)
+        ref = collectives.alltoall_reference(d, g, 0)
+        vec = collectives.alltoall_vectorized(s, g, 0)
         assert_backends_equal(ref, vec, g)
 
     def test_vectorized_allreduce_is_rank_invariant_view(self):
         rng = np.random.RandomState(3)
         g = world(4)
         _, s = _pair(rng, g, (8,))
-        out = collectives.allreduce(s, g, "+", np.float32)
+        out = collectives.allreduce_vectorized(s, g, "+", np.float32)
         assert rank_invariant(out)
 
 
@@ -153,17 +153,17 @@ class TestHierarchicalAllToAll:
         rng = np.random.RandomState(100 + n)
         g = world(n)
         d, s = _pair(rng, g, (2 * n, 3))
-        flat_ref = collectives.alltoall(d, g, 0)
-        flat_vec = collectives.alltoall(s, g, 0)
+        flat_ref = collectives.alltoall_reference(d, g, 0)
+        flat_vec = collectives.alltoall_vectorized(s, g, 0)
         assert_backends_equal(flat_ref, flat_vec, g)
         for m in range(1, n + 1):
             if n % m != 0:
                 continue
-            intra_ref = collectives.alltoall_intra(d, g, 0, m)
-            inter_ref = collectives.alltoall_inter(intra_ref, g, 0, m)
+            intra_ref = collectives.alltoall_intra_reference(d, g, 0, m)
+            inter_ref = collectives.alltoall_inter_reference(intra_ref, g, 0, m)
             assert_backends_equal(flat_ref, inter_ref, g)
-            intra_vec = collectives.alltoall_intra(s, g, 0, m)
-            inter_vec = collectives.alltoall_inter(intra_vec, g, 0, m)
+            intra_vec = collectives.alltoall_intra_vectorized(s, g, 0, m)
+            inter_vec = collectives.alltoall_inter_vectorized(intra_vec, g, 0, m)
             assert_backends_equal(flat_ref, inter_vec, g)
             assert_backends_equal(intra_ref, intra_vec, g)
 
@@ -172,15 +172,15 @@ class TestHierarchicalAllToAll:
         rng = np.random.RandomState(61)
         g = world(n)
         d, s = _pair(rng, g, (2, 2 * n))
-        flat = collectives.alltoall(s, g, 1)
+        flat = collectives.alltoall_vectorized(s, g, 1)
         for m in (1, 2, 3, 6):
-            intra = collectives.alltoall_intra(s, g, 1, m)
-            inter = collectives.alltoall_inter(intra, g, 1, m)
+            intra = collectives.alltoall_intra_vectorized(s, g, 1, m)
+            inter = collectives.alltoall_inter_vectorized(intra, g, 1, m)
             np.testing.assert_array_equal(
                 np.asarray(flat), np.asarray(inter)
             )
-            ref = collectives.alltoall_inter(
-                collectives.alltoall_intra(d, g, 1, m), g, 1, m
+            ref = collectives.alltoall_inter_reference(
+                collectives.alltoall_intra_reference(d, g, 1, m), g, 1, m
             )
             assert_backends_equal(ref, inter, g)
 
@@ -265,19 +265,21 @@ class TestReduceSemantics:
         rng = np.random.RandomState(5)
         g = world(4)
         d, s = _pair(rng, g, (4,))
-        for vals in (d, s):
+        for backend, vals in (("reference", d), ("vectorized", s)):
+            reduce = getattr(collectives, f"reduce_{backend}")
+            broadcast = getattr(collectives, f"broadcast_{backend}")
             with pytest.raises(GroupError):
-                collectives.reduce(vals, g, "+", root, np.float32)
+                reduce(vals, g, "+", root, np.float32)
             with pytest.raises(GroupError):
-                collectives.broadcast(vals, g, root)
+                broadcast(vals, g, root)
 
     def test_reduce_then_broadcast_still_equals_allreduce(self):
         rng = np.random.RandomState(8)
         g = world(4)
         d, s = _pair(rng, g, (8,))
-        ar = collectives.allreduce(s, g, "+", np.float32)
-        red = collectives.reduce(s, g, "+", 0, np.float32)
-        bc = collectives.broadcast(red, g, 0)
+        ar = collectives.allreduce_vectorized(s, g, "+", np.float32)
+        red = collectives.reduce_vectorized(s, g, "+", 0, np.float32)
+        bc = collectives.broadcast_vectorized(red, g, 0)
         np.testing.assert_array_equal(np.asarray(ar), np.asarray(bc))
 
 
@@ -297,22 +299,24 @@ class TestErrorContext:
         g = world(4)
         if as_dict:
             vals = {r: np.zeros(6, np.float32) for r in g}
+            alltoall = collectives.alltoall_reference
         else:
             vals = np.zeros((4, 6), np.float32)
+            alltoall = collectives.alltoall_vectorized
         with pytest.raises(ExecutionError, match=r"in a2a_dispatch"):
-            collectives.alltoall(vals, g, 0, context="a2a_dispatch")
+            alltoall(vals, g, 0, context="a2a_dispatch")
 
     @pytest.mark.parametrize("as_dict", [True, False])
     def test_reducescatter_context_both_backends(self, as_dict):
         g = world(4)
         if as_dict:
             vals = {r: np.zeros(6, np.float32) for r in g}
+            reducescatter = collectives.reducescatter_reference
         else:
             vals = np.zeros((4, 6), np.float32)
+            reducescatter = collectives.reducescatter_vectorized
         with pytest.raises(ExecutionError, match=r"in rs_g"):
-            collectives.reducescatter(
-                vals, g, "+", 0, np.float32, context="rs_g"
-            )
+            reducescatter(vals, g, "+", 0, np.float32, context="rs_g")
 
 
 class TestDowncastPolicy:

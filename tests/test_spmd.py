@@ -11,6 +11,8 @@ segments or deadlocking peers.
 
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,12 +21,12 @@ from repro.cluster import Cluster
 from repro.core import FP32
 from repro.core import Replicated as Replicated_
 from repro.core.autotuner import Autotuner
-from repro.core.codegen import CodeGenerator, GeneratedSpmdProgram
+from repro.core.codegen import CodeGenerator, GeneratedProgram
 from repro.core.tensor import Tensor
 from repro.core.transforms import Schedule
 from repro.errors import CodegenError, ExecutionError
 from repro.runtime import Executor
-from repro.runtime.spmd import build_layout, launch
+from repro.runtime.spmd import build_layout, launch, run_threads
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -188,7 +190,7 @@ class TestSpmdInterface:
         gen = CodeGenerator(target="spmd").generate(
             wl.schedule_fused()
         )
-        assert isinstance(gen, GeneratedSpmdProgram)
+        assert isinstance(gen, GeneratedProgram)
         assert "run_rank(comm, inputs)" in gen.source
         assert gen.loc() > 0
         assert gen.kernel_sources  # one entry per kernel
@@ -223,6 +225,20 @@ def _shm_spmd_segments():
     return [f for f in os.listdir("/dev/shm") if f.startswith("spmd_")]
 
 
+def _failing_on_rank_1(gen, docstring='"""collective kernel: avg"""'):
+    """The module with a fault injected: rank 1 raises inside the
+    kernel with ``docstring`` while its peers block in the rendezvous."""
+    source = gen.source.replace(
+        docstring,
+        docstring + "\n"
+        "    if comm.rank == 1:\n"
+        "        raise RuntimeError('injected kernel fault')",
+        1,
+    )
+    assert "injected kernel fault" in source
+    return source
+
+
 class TestSpmdTeardown:
     """A rank failing mid-collective must not leak segments or hang."""
 
@@ -232,16 +248,7 @@ class TestSpmdTeardown:
     def test_failing_kernel_on_rank_1_tears_down_cleanly(self, rng):
         wl = AdamWorkload.build(64, 4)
         gen = CodeGenerator(target="spmd").generate(wl.program)
-        # inject a fault: rank 1 dies inside the collective kernel,
-        # while ranks 0/2/3 are already blocked in the rendezvous
-        source = gen.source.replace(
-            '"""collective kernel: avg"""',
-            '"""collective kernel: avg"""\n'
-            "    if comm.rank == 1:\n"
-            "        raise RuntimeError('injected kernel fault')",
-            1,
-        )
-        assert "injected kernel fault" in source
+        source = _failing_on_rank_1(gen)
         before = set(_shm_spmd_segments())
         with pytest.raises(ExecutionError, match="rank 1") as err:
             launch(
@@ -251,6 +258,41 @@ class TestSpmdTeardown:
         assert "injected kernel fault" in str(err.value)
         # every shared-memory segment created by the run was unlinked
         assert set(_shm_spmd_segments()) == before
+
+    @pytest.mark.skipif(
+        sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
+    )
+    @pytest.mark.parametrize("case", ["collective", "overlap"])
+    def test_in_process_failing_kernel_tears_down_cleanly(self, rng, case):
+        # the thread launcher behind GeneratedProgram.run: peers abort
+        # on the failure flag (well inside the 120 s wait deadline), no
+        # segment and no rank or stream thread outlives the run
+        if case == "collective":
+            gen = CodeGenerator().generate(AdamWorkload.build(64, 4).program)
+            source = _failing_on_rank_1(gen)
+            inputs, op = optimizer_inputs(rng), "avg"
+        else:
+            # the consumer of a chunked GEMM raises while rank 1's
+            # producer stream thread is publishing
+            wl = AttentionWorkload.build(4, 8, 16, 4, dtype=FP32)
+            gen = CodeGenerator().generate(wl.schedule_coconet())
+            source = _failing_on_rank_1(
+                gen,
+                '"""fused_collective kernel: '
+                'rs_sum, sum_b, dropout, out, ag_out"""',
+            )
+            inputs, op = attention_inputs(rng), "overlap_0"
+        before = set(_shm_spmd_segments())
+        threads_before = set(threading.enumerate())
+        t0 = time.monotonic()
+        with pytest.raises(ExecutionError, match="rank 1") as err:
+            run_threads(source, gen.program, inputs)
+        assert time.monotonic() - t0 < 10.0
+        assert "injected kernel fault" in str(err.value)
+        assert err.value.context["rank"] == 1
+        assert err.value.context["op"] == op
+        assert set(_shm_spmd_segments()) == before
+        assert set(threading.enumerate()) == threads_before
 
     def test_successful_run_leaves_no_segments(self, rng):
         wl = AdamWorkload.build(64, 4)

@@ -31,6 +31,7 @@ from repro.core.transforms import (
 )
 from repro.perf import ProgramCostModel
 from repro.runtime import Executor
+from tests.conftest import assert_matches_lowered
 
 
 def build_mlp(n=4, B=2, S=8, H=16, seed=17):
@@ -121,13 +122,9 @@ class TestTwoGemmMLP:
         rs, ag = sched.split(h["total"], ARSplitRSAG)
         results = sched.reorder(ag, h["sum_b"], h["drop"], h["out"])
         sched.fuse(rs, *results, policy=AllReduceFuse)
-        ref = Executor().run(sched.program, inputs)
         gen = CodeGenerator("LL128").generate(sched)
         got = gen.run(inputs)
-        name = sched.program.outputs[0].name
-        np.testing.assert_allclose(
-            got.output(name), ref.output(name), rtol=1e-5, atol=1e-7
-        )
+        assert_matches_lowered(got, sched, inputs)
 
     def test_autotuner_handles_two_gemms(self):
         prog, _ = build_mlp(n=16, B=8, S=1024, H=3072)
