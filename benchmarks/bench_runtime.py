@@ -1,29 +1,32 @@
-"""Numeric runtime performance: rank-major vectorized vs reference.
+"""Numeric runtime performance: rank-major executor vs the dict oracle.
 
-The numeric executor is the correctness oracle every transformation is
-verified against, so its wall-clock bounds how large the equivalence
-tests and end-to-end benchmarks can run. This benchmark measures the
-rank-major vectorized backend (one stacked ``(num_ranks, *shape)`` array
-per tensor, collectives as single numpy expressions, replicated math
-computed once via stride-0 views) against ``Executor(reference=True)``,
-the retained dict-of-ranks oracle, on each workload's original *and*
-optimized schedules at 16–64 simulated ranks.
+The numeric executor is what every transformation is verified against,
+so its wall-clock bounds how large the equivalence tests and end-to-end
+benchmarks can run. This benchmark measures the rank-major executor
+(``Executor().run``: one stacked ``(num_ranks, *shape)`` array per
+tensor, collectives as single numpy expressions, replicated math
+computed once via stride-0 views) against the per-rank dict-of-arrays
+interpreter ``tests.oracle.reference_run``, on each workload's original
+*and* optimized programs at 16–64 simulated ranks.
 
 Every timed pair is also checked bit-identical: ``np.array_equal`` on
 all program outputs and final tensor states.
 
 Emits ``BENCH_runtime.json`` at the repo root. The acceptance bar: the
-vectorized backend must be at least ``ADAM_SPEEDUP_FLOOR``x faster on
-the GPT-3-scale Adam step at 64 ranks (replicated optimizer math that
-the reference interprets once per rank, 64x over).
+executor must be at least ``ADAM_SPEEDUP_FLOOR``x faster than the
+oracle on the GPT-3-scale Adam step at 64 ranks (replicated optimizer
+math that the oracle interprets once per rank, 64x over).
 
-The same pass also measures the *lowered* interpreter
-(``Executor.run_lowered``, which executes the shared
+The same pass also measures the *lowered* interpreter on each schedule
+(``Executor.run_lowered(schedule)``, which executes the shared
 ``repro.core.lower`` instruction stream — overlap groups chunk-by-chunk,
-fused blocks as units) against the DFG interpreter on every schedule,
-asserts bit-identical results, and emits ``BENCH_lowering.json`` with
-the measured per-schedule overhead and the number of overlap groups that
-actually executed at chunk granularity.
+fused blocks as units), asserts bit-identical results, and emits
+``BENCH_lowering.json`` with the measured per-schedule overhead and the
+number of overlap groups that actually executed at chunk granularity.
+The overhead's denominator is ``Executor.run(program)`` — the same
+interpreter on the unscheduled program (default lowering: one launch
+per operation, no fusion, no chunk loops) — so the overhead is the
+price of executing the schedule's fused blocks and chunk loops.
 
 Usage::
 
@@ -50,8 +53,10 @@ from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 from repro.workloads.pipeline import PipelineWorkload
+from tests.oracle import reference_run
 
-#: acceptance bar: vectorized speedup on the GPT-3-scale Adam at 64 ranks
+#: acceptance bar: executor speedup over the oracle on the GPT-3-scale
+#: Adam at 64 ranks
 ADAM_SPEEDUP_FLOOR = 3.0
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -83,7 +88,7 @@ def workload_suite(smoke: bool) -> Dict[str, Tuple[Callable, Callable]]:
     """name -> (workload builder, input builder).
 
     The GPT-3-scale Adam entry keeps 64 ranks even in smoke mode (the
-    rank count, not the element count, is what the vectorized backend
+    rank count, not the element count, is what the rank-major executor
     amortizes); other workloads span 16–64 ranks.
     """
     if smoke:
@@ -172,11 +177,11 @@ def _assert_equal_results(vec, ref, program, label: str) -> None:
             ), f"{label}: state {t.name} differs between backends"
 
 
-def _time_run(executor, program, inputs, repeats: int):
+def _time_run(run, program, inputs, repeats: int):
     best, result = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = executor.run(program, inputs)
+        result = run(program, inputs)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -212,18 +217,16 @@ def run_workload(
     for sched_name, sched in schedules.items():
         program = sched.program
         inputs = _cast_inputs(program, raw_inputs)
-        vec_s, vec = _time_run(Executor(), program, inputs, repeats)
-        ref_s, ref = _time_run(
-            Executor(reference=True), program, inputs, repeats
-        )
+        vec_s, vec = _time_run(Executor().run, program, inputs, repeats)
+        ref_s, ref = _time_run(reference_run, program, inputs, repeats)
         _assert_equal_results(vec, ref, program, f"{name}/{sched_name}")
         entry["schedules"][sched_name] = {
             "reference_s": ref_s,
             "vectorized_s": vec_s,
             "speedup": ref_s / vec_s if vec_s > 0 else float("inf"),
         }
-        # lowered interpreter: same inputs, plan-aware execution; must
-        # stay bit-identical to the DFG interpretation
+        # lowered interpreter on the schedule: same inputs, plan-aware
+        # execution; must stay bit-identical to the unscheduled run
         tracer = Tracer()
         low_s, low = _time_lowered(
             Executor(), sched, inputs, repeats, tracer=tracer
@@ -233,7 +236,7 @@ def run_workload(
         )
         chunk_events = len(tracer.spans(cat="chunk"))
         low_entry[sched_name] = {
-            "dfg_s": vec_s,
+            "unscheduled_s": vec_s,
             "lowered_s": low_s,
             "overhead": low_s / vec_s if vec_s > 0 else float("inf"),
             "chunk_events": chunk_events,
@@ -273,10 +276,10 @@ def main() -> None:
             ])
 
     # The acceptance bar is the Adam *step* (the program as written,
-    # Figure 6a): its replicated optimizer math is what the reference
-    # backend interprets once per rank. The sliced GShard-style
-    # schedules already distribute the math, so both backends do the
-    # same total work there and their ratio tends to 1x by design.
+    # Figure 6a): its replicated optimizer math is what the oracle
+    # interprets once per rank. The sliced GShard-style schedules
+    # already distribute the math, so both interpreters do the same
+    # total work there and their ratio tends to 1x by design.
     adam = report["workloads"]["adam_gpt3_64ranks"]["schedules"]
     adam_speedup = adam["original"]["speedup"]
     report["acceptance"] = {
@@ -286,22 +289,22 @@ def main() -> None:
     }
 
     lines = table(
-        ["workload", "ranks", "schedule", "reference ms",
-         "vectorized ms", "speedup"],
+        ["workload", "ranks", "schedule", "oracle ms",
+         "executor ms", "speedup"],
         rows,
     )
     lines.append("")
     lines.append(
         f"GPT-3-scale Adam step @ 64 ranks: {adam_speedup:.2f}x "
         f"(floor {ADAM_SPEEDUP_FLOOR}x); all runs bit-identical "
-        f"between backends"
+        f"to the oracle"
     )
     save_report("bench_runtime", lines)
     with open(JSON_PATH, "w") as f:
         json.dump(report, f, indent=2)
     print(f"\nwrote {JSON_PATH}")
 
-    # lowered-vs-DFG interpreter comparison (every pair above was
+    # scheduled-vs-unscheduled lowered runs (every pair above was
     # asserted bit-identical before timing)
     chunked_groups = sum(
         1
@@ -330,8 +333,8 @@ def main() -> None:
         json.dump(lowering_report, f, indent=2)
     print(
         f"lowered interpreter: median overhead "
-        f"{lowering_report['median_overhead']:.2f}x vs the DFG "
-        f"interpreter, {chunked_groups} schedules executed "
+        f"{lowering_report['median_overhead']:.2f}x vs the unscheduled "
+        f"program, {chunked_groups} schedules executed "
         f"chunk-by-chunk; all runs bit-identical"
     )
     print(f"wrote {LOWERING_JSON_PATH}")
@@ -341,7 +344,7 @@ def main() -> None:
         # arrays is too noisy for a hard CI wall-clock gate — same
         # convention as bench_tuner.py)
         assert adam_speedup >= ADAM_SPEEDUP_FLOOR, (
-            f"vectorized runtime speedup {adam_speedup:.2f}x on the "
+            f"executor speedup {adam_speedup:.2f}x over the oracle on the "
             f"GPT-3-scale Adam at 64 ranks is below the "
             f"{ADAM_SPEEDUP_FLOOR}x acceptance floor"
         )

@@ -3,20 +3,18 @@
 The paper's autotuner "exhaustively explores the schedule space"
 (§3.5); in this reproduction every candidate is "executed" by the
 discrete-event cost model, so tuner wall-clock bounds how deep and wide
-the search can go. This benchmark measures the optimized stack —
-event-driven heap engine, forked schedule prefixes, plan-signature
-dedup, memoized kernel costs, best-so-far pruning — against
-``Autotuner(baseline=True)``, which replays every move script from the
-root through the unmemoized cost model and the O(n²) reference engine
-(the pre-optimization machinery). Both modes walk the identical
-signature-deduplicated candidate space, so they must return the *same
-best schedule with the same simulated time*; the benchmark asserts
-that per workload.
+the search can go. This benchmark measures the tuner — event-driven
+heap engine, forked schedule prefixes, plan-signature dedup, memoized
+kernel costs, best-so-far pruning — per workload. That the search
+returns what a root replay priced on the O(n²) reference scheduler
+would is a test (``tests/test_tuner_fast.py``), not a bench concern.
 
-Emits ``BENCH_tuner.json`` at the repo root: per-workload baseline and
-optimized wall-clock, speedup, candidates/second, and the best
-schedule's identity, plus resource utilization of the winning schedule
-from the timeline's recorded task resources.
+Emits ``BENCH_tuner.json`` at the repo root: per-workload tuner
+wall-clock (``optimized_seconds``, best of ``repeats``),
+candidates/second, and the best schedule's identity, plus resource
+utilization of the winning schedule from the timeline's recorded task
+resources. ``benchmarks/baselines/BENCH_tuner.json`` caps the smoke-mode
+wall-clock per workload.
 
 Usage::
 
@@ -42,15 +40,6 @@ from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 
 MAX_DEPTH = 4
-
-#: the acceptance bar: optimized tuner wall-clock on the MoE program at
-#: max_depth=4 must be at least this factor below the baseline mode.
-#: Originally 5.0 over a 45-candidate MoE space; the lowered-IR dedup
-#: signature (schedules that lower to the same instruction stream are
-#: one candidate) shrank that space to 39 — the deduped deep candidates
-#: were exactly the ones the baseline replayed most slowly, so the
-#: machinery-speedup ratio over the smaller space settles around 4.3x.
-MOE_SPEEDUP_FLOOR = 4.0
 
 JSON_PATH = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -102,17 +91,20 @@ def workload_suite(smoke: bool = False) -> Dict[str, Tuple[Callable, Cluster]]:
 
 
 def _best_of(
-    n: int, build: Callable, cluster: Cluster, **tuner_kwargs
+    n: int, build: Callable, cluster: Cluster
 ) -> Tuple[float, TuneResult]:
-    """Fastest of ``n`` tuner runs (wall-clock), with its result."""
+    """Fastest of ``n`` tuner runs (wall-clock), with its result.
+
+    One untimed tune runs first, so lazy imports and first-touch
+    allocations are not charged to the first workload.
+    """
+    Autotuner(cluster, max_depth=MAX_DEPTH).tune(build())
     best_wall = float("inf")
     result = None
     for _ in range(n):
         program = build()
         t0 = time.perf_counter()
-        r = Autotuner(cluster, max_depth=MAX_DEPTH, **tuner_kwargs).tune(
-            program
-        )
+        r = Autotuner(cluster, max_depth=MAX_DEPTH).tune(program)
         wall = time.perf_counter() - t0
         if wall < best_wall:
             best_wall, result = wall, r
@@ -122,31 +114,13 @@ def _best_of(
 def run_workload(
     name: str, build: Callable, cluster: Cluster, repeats: int
 ) -> dict:
-    base_wall, base = _best_of(repeats, build, cluster, baseline=True)
     fast_wall, fast = _best_of(repeats, build, cluster)
-
-    if fast.best.name != base.best.name:
-        raise AssertionError(
-            f"{name}: optimized tuner picked {fast.best.name!r}, "
-            f"baseline picked {base.best.name!r}"
-        )
-    if fast.best.time != base.best.time:
-        raise AssertionError(
-            f"{name}: best simulated time drifted "
-            f"({fast.best.time} vs {base.best.time})"
-        )
-    base_names = [c.name for c in base.candidates]
-    fast_names = [c.name for c in fast.candidates]
-    if base_names != fast_names:
-        raise AssertionError(f"{name}: candidate sets differ between modes")
 
     # utilization of the winning schedule, from the timeline's recorded
     # resources (Timeline.utilization needs no task list)
     tl, _ = ProgramCostModel(cluster).timeline(fast.best.schedule)
     return {
-        "baseline_seconds": base_wall,
         "optimized_seconds": fast_wall,
-        "speedup": base_wall / fast_wall,
         "candidates": len(fast.candidates),
         "candidates_per_sec": len(fast.candidates) / fast_wall,
         "pruned_candidates": sum(1 for c in fast.candidates if c.pruned),
@@ -183,9 +157,7 @@ def report(payload: dict) -> str:
     body = [
         [
             name,
-            f"{r['baseline_seconds'] * 1e3:.1f} ms",
             f"{r['optimized_seconds'] * 1e3:.1f} ms",
-            f"{r['speedup']:.2f}x",
             f"{r['candidates']}",
             f"{r['candidates_per_sec']:.0f}/s",
             f"{r['best_time_seconds'] * 1e6:.1f} us",
@@ -193,15 +165,12 @@ def report(payload: dict) -> str:
         for name, r in rows.items()
     ]
     lines = [
-        f"Autotuner wall-clock, baseline (replay + O(n^2) engine, no "
-        f"memoization) vs optimized, max_depth={payload['max_depth']}",
-        "both modes explore the identical candidate space; best "
-        "schedule and simulated time verified equal per workload",
+        f"Autotuner wall-clock (best of {payload['repeats']}), "
+        f"max_depth={payload['max_depth']}",
         "",
     ]
     lines += table(
-        ["workload", "baseline", "optimized", "speedup",
-         "cands", "cands/s", "best sim time"],
+        ["workload", "tune", "cands", "cands/s", "best sim time"],
         body,
     )
     for name, r in rows.items():
@@ -213,8 +182,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small sizes, one repeat; skips the 5x speedup gate "
-        "(CI machines have noisy clocks)",
+        help="small sizes, one repeat (the sizes the committed "
+        "wall-clock caps are measured at)",
     )
     parser.add_argument("--repeats", type=int, default=None)
     args = parser.parse_args()
@@ -223,13 +192,6 @@ def main() -> None:
     report(payload)
     write_json(payload)
     print(f"\nwrote {JSON_PATH}")
-
-    moe_speedup = payload["workloads"]["moe"]["speedup"]
-    if not args.smoke and moe_speedup < MOE_SPEEDUP_FLOOR:
-        raise SystemExit(
-            f"MoE tuner speedup {moe_speedup:.2f}x is below the "
-            f"{MOE_SPEEDUP_FLOOR}x floor"
-        )
 
 
 if __name__ == "__main__":

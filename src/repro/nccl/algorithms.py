@@ -95,8 +95,8 @@ def simulate_ring_allreduce(values: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Execute ring AllReduce step by step on numpy arrays.
 
     Used by tests to show the ring algorithm computes the same result
-    as the reference :func:`repro.runtime.collectives.allreduce_reference`.
-    Accumulates in float64 like the reference.
+    as :func:`repro.runtime.collectives.allreduce_vectorized`.
+    Accumulates in float64 like it.
     """
     n = len(values)
     if n == 1:
@@ -129,8 +129,8 @@ def simulate_alltoall(
     """Execute the pairwise AllToAll step by step on numpy arrays.
 
     Replays exactly the sends of :func:`all_to_all_steps`; used by tests
-    to prove the step schedule computes the same result as the reference
-    :func:`repro.runtime.collectives.alltoall_reference`.
+    to prove the step schedule computes the same result as the oracle
+    AllToAll (``tests/oracle.py``).
     """
     n = len(values)
     if n == 1:

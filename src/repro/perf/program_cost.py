@@ -82,13 +82,12 @@ class CostEvaluation:
 class ProgramCostModel:
     """Estimate execution time of scheduled programs on a cluster.
 
-    With ``memoize`` on (the default), the protocol × channel × algorithm
-    sweep behind every collective is cached per
-    ``(collective kind, bytes, group, node_size)`` — the protocols and
-    channel sets are fixed per model instance, so the key pins the whole
-    search space of the sweep. The autotuner constructs one model per
-    tune, paying each distinct collective configuration once instead of
-    once per candidate schedule.
+    The protocol × channel × algorithm sweep behind every collective is
+    memoized per ``(collective kind, bytes, group, node_size)`` — the
+    protocols and channel sets are fixed per model instance, so the key
+    pins the whole search space of the sweep. The autotuner constructs
+    one model per tune, paying each distinct collective configuration
+    once instead of once per candidate schedule.
     """
 
     def __init__(
@@ -103,9 +102,7 @@ class ProgramCostModel:
         ),
         gemm_efficiency: float = 0.72,
         overlap_chunks: Optional[int] = None,
-        memoize: bool = True,
         engine: Optional[Engine] = None,
-        scattered_metadata: bool = True,
     ) -> None:
         self.cluster = cluster
         self.gpu = gpu or cluster.node.gpu
@@ -115,9 +112,6 @@ class ProgramCostModel:
         self.fused_compute_params = fused_compute_params
         self.gemm_efficiency = gemm_efficiency
         self.overlap_chunks = overlap_chunks
-        self.memoize = memoize
-        #: charge the §5.4 bucket-table metadata of fused collectives
-        self.scattered_metadata = scattered_metadata
         self.engine = engine or Engine()
         self._collective_memo: Dict[tuple, Tuple[float, float]] = {}
         self._ring_sweep_memo: Dict[tuple, float] = {}
@@ -231,8 +225,6 @@ class ProgramCostModel:
         the same collective or GEMM reappearing in many candidate plans
         is priced once per tune.
         """
-        if not self.memoize:
-            return self._kernel_cost(kernel)
         key = (kernel.kind, tuple(id(e) for e in kernel.exprs))
         hit = self._kernel_memo.get(key)
         if hit is not None:
@@ -356,8 +348,7 @@ class ProgramCostModel:
                         self.protocols[0], 2, Algorithm.TREE,
                         include_setup=False,
                     )
-                    if self.memoize:
-                        self._latency_memo[key] = cached
+                    self._latency_memo[key] = cached
                 extra += cached
             elif isinstance(e, (ops.Norm, ops.ReduceTensor)):
                 # a full reduction is an extra pass over the data
@@ -377,8 +368,7 @@ class ProgramCostModel:
         if ring is None:
             self._memo_misses += 1
             ring = build_ring(self.cluster, group)
-            if self.memoize:
-                self._ring_memo[key] = ring
+            self._ring_memo[key] = ring
         else:
             self._memo_hits += 1
         return ring
@@ -402,8 +392,7 @@ class ProgramCostModel:
             for p in self.protocols
             for c in self.channels
         )
-        if self.memoize:
-            self._ring_sweep_memo[key] = best
+        self._ring_sweep_memo[key] = best
         return best
 
     def _collective_latency(self, kind: str, group, node_size) -> float:
@@ -423,8 +412,7 @@ class ProgramCostModel:
             for p in self.protocols
             for c in self.channels
         )
-        if self.memoize:
-            self._latency_memo[key] = lat
+        self._latency_memo[key] = lat
         return lat
 
     def _collective_cost(
@@ -456,8 +444,7 @@ class ProgramCostModel:
         # cheapest same-kind call at near-zero size.
         lat = self._collective_latency(kind, group, node_size)
         head = max(0.0, min(lat, t))
-        if self.memoize:
-            self._collective_memo[key] = (t, head)
+        self._collective_memo[key] = (t, head)
         return t, head
 
     def _fused_collective_cost(self, kernel: Kernel) -> KernelCost:
@@ -491,13 +478,12 @@ class ProgramCostModel:
             traffic = self._extra_operand_traffic(comp_ops, anchor)
         else:
             traffic = self._compute_traffic(comp_ops) if comp_ops else 0.0
-        if self.scattered_metadata:
-            # §5.4: the fused kernel addresses scattered tensors through
-            # a bucket table of 12 · ⌈N / 2^10⌉ bytes, read during the
-            # exchange — extra HBM traffic on the compute side
-            pack = fused_pack_info(kernel)
-            if pack is not None:
-                traffic += pack.metadata_bytes
+        # §5.4: the fused kernel addresses scattered tensors through a
+        # bucket table of 12 · ⌈N / 2^10⌉ bytes, read during the exchange
+        # — extra HBM traffic on the compute side
+        pack = fused_pack_info(kernel)
+        if pack is not None:
+            traffic += pack.metadata_bytes
         compute_time = kernel_cost.pointwise_time(
             traffic, self.gpu, self.fused_compute_params,
             include_launch=False,

@@ -1,27 +1,19 @@
-"""Numpy implementations of the collective operations, in two backends.
+"""Numpy implementations of the collective operations.
 
 These define the *semantics* the NCCL simulator and generated kernels
 must match. Reductions accumulate in float64 in rank order, so an
 AllReduce and its ReduceScatter+AllGather split produce identical
 results — the determinism the transformation-equivalence tests rely on.
 
-Each collective exists in two forms:
-
-* ``*_reference`` — the original dict-of-ranks implementation
-  (``{global rank -> ndarray}``), kept as the oracle;
-* ``*_vectorized`` — a rank-major implementation over one stacked
-  ``(group.size, *per_rank_shape)`` array whose axis 0 indexes the
-  group's local ranks. AllReduce is one ``np.sum(..., axis=0)``
-  broadcast back, ReduceScatter/AllGather are reshape+axis-move views,
-  the AllToAlls (flat and hierarchical intra/inter phases) are
-  reshape/transpose compositions, and Reduce/Broadcast are indexed
-  assignments.
-
-The executor calls the backend matching its world (dict storage for
-``Executor(reference=True)``, stacked arrays otherwise), and the SPMD
-communicator applies the same float64 rank-order formulas to its
-gathered rows. The two backends are property-tested bit-identical
-(``np.array_equal``); see ``tests/test_runtime_vectorized``.
+Every collective works on one stacked ``(group.size, *per_rank_shape)``
+array whose axis 0 indexes the group's local ranks: AllReduce is one
+``np.sum(..., axis=0)`` broadcast back, ReduceScatter/AllGather are
+reshape+axis-move views, the AllToAlls (flat and hierarchical
+intra/inter phases) are reshape/transpose compositions, and
+Reduce/Broadcast are indexed assignments. The SPMD communicator applies
+the same float64 rank-order formulas to its gathered rows.
+``tests/oracle.py`` keeps per-rank dict-of-arrays implementations these
+are property-tested bit-identical (``np.array_equal``) against.
 
 ``context`` parameters thread the originating tensor/op name into
 divisibility errors so uneven-sharding mistakes are debuggable from the
@@ -30,32 +22,22 @@ message alone.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.process_group import ProcessGroup
 from repro.runtime.world import (
-    assemble_slices,
     check_divisible,
     gather_axis,
     replicate,
     scatter_axis,
-    slice_of,
 )
 
-RankValues = Dict[int, np.ndarray]
-
-
-def _accumulate(values: RankValues, group: ProcessGroup, op: str) -> np.ndarray:
-    stack = np.stack([values[r] for r in group], axis=0)
-    return _reduce_stack(stack, op)
-
-
 def _accumulate_stacked(stacked: np.ndarray, op: str) -> np.ndarray:
-    # np.ascontiguousarray materializes broadcast views and matches the
-    # memory layout np.stack gives the reference path, so the float64
-    # rank-order accumulation is bit-identical between backends.
+    # np.ascontiguousarray materializes broadcast views into the same
+    # row-major stack a per-rank np.stack builds, so the float64
+    # rank-order accumulation does not depend on how the rows are held.
     return _reduce_stack(np.ascontiguousarray(stacked), op)
 
 
@@ -80,170 +62,6 @@ def _node_grid(group: ProcessGroup, node_size: int) -> "Tuple[int, int]":
             f"group size {n} is not divisible by node size {m}"
         )
     return n // m, m
-
-
-# ---------------------------------------------------------------------------
-# Reference backend: dict of per-rank arrays (the oracle).
-# ---------------------------------------------------------------------------
-
-
-def allreduce_reference(
-    values: RankValues, group: ProcessGroup, op: str, dtype: np.dtype
-) -> RankValues:
-    """Every rank receives the reduction of all ranks' values."""
-    total = _accumulate(values, group, op).astype(dtype)
-    return {r: total.copy() for r in group}
-
-
-def reducescatter_reference(
-    values: RankValues,
-    group: ProcessGroup,
-    op: str,
-    dim: int,
-    dtype: np.dtype,
-    context: str = "",
-) -> RankValues:
-    """Rank i receives slice i of the reduction."""
-    total = _accumulate(values, group, op).astype(dtype)
-    return {
-        r: slice_of(total, dim, i, group.size, context=context).copy()
-        for i, r in enumerate(group)
-    }
-
-
-def allgather_reference(
-    values: RankValues, group: ProcessGroup, dim: int
-) -> RankValues:
-    """Every rank receives the concatenation of all ranks' slices."""
-    full = assemble_slices([values[r] for r in group], dim)
-    return {r: full.copy() for r in group}
-
-
-def alltoall_reference(
-    values: RankValues, group: ProcessGroup, dim: int, context: str = ""
-) -> RankValues:
-    """Rank ``i`` receives chunk ``i`` of every rank, in source order.
-
-    Each rank's buffer is split into ``group.size`` equal chunks along
-    ``dim``; chunk ``j`` travels to the rank with local index ``j``, and
-    the receiver concatenates incoming chunks in source-rank order —
-    GShard's MoE dispatch/combine exchange.
-    """
-    n = group.size
-    out: RankValues = {}
-    for i, r in enumerate(group):
-        out[r] = np.concatenate(
-            [slice_of(values[s], dim, i, n, context=context) for s in group],
-            axis=dim,
-        )
-    return out
-
-
-def alltoall_intra_reference(
-    values: RankValues,
-    group: ProcessGroup,
-    dim: int,
-    node_size: int,
-    context: str = "",
-) -> RankValues:
-    """Intra-node phase of the hierarchical AllToAll.
-
-    Rank ``(a, q)`` (node ``a``, local index ``q``) collects, from every
-    rank ``(a, p)`` of its node, the chunks destined for the ranks that
-    share local index ``q``, regrouped by destination node: output chunk
-    ``b*m + p`` holds source ``(a, p)``'s chunk for rank ``(b, q)``.
-    Composing :func:`alltoall_inter_reference` after this phase
-    reproduces the flat :func:`alltoall_reference` exactly.
-    """
-    n = group.size
-    k, m = _node_grid(group, node_size)
-    out: RankValues = {}
-    for a in range(k):
-        for q in range(m):
-            r = group.global_rank(a * m + q)
-            parts = [
-                slice_of(
-                    values[group.global_rank(a * m + p)],
-                    dim,
-                    b * m + q,
-                    n,
-                    context=context,
-                )
-                for b in range(k)
-                for p in range(m)
-            ]
-            out[r] = np.concatenate(parts, axis=dim)
-    return out
-
-
-def alltoall_inter_reference(
-    values: RankValues,
-    group: ProcessGroup,
-    dim: int,
-    node_size: int,
-    context: str = "",
-) -> RankValues:
-    """Inter-node phase of the hierarchical AllToAll.
-
-    Applied to the intra-phase output: rank ``(b, q)`` receives block
-    ``b`` (the ``m`` chunks regrouped for it) from the rank with local
-    index ``q`` on every node ``a``, concatenated in node order — which
-    restores exact source-rank order.
-    """
-    n = group.size
-    k, m = _node_grid(group, node_size)
-    out: RankValues = {}
-    for b in range(k):
-        for q in range(m):
-            r = group.global_rank(b * m + q)
-            parts = [
-                slice_of(
-                    values[group.global_rank(a * m + q)],
-                    dim,
-                    b * m + p,
-                    n,
-                    context=context,
-                )
-                for a in range(k)
-                for p in range(m)
-            ]
-            out[r] = np.concatenate(parts, axis=dim)
-    return out
-
-
-def reduce_reference(
-    values: RankValues, group: ProcessGroup, op: str, root: int, dtype: np.dtype
-) -> RankValues:
-    """The root rank receives the reduction; non-root ranks keep their
-    input values (cast to ``dtype``).
-
-    Matches NCCL, where ``ncclReduce`` leaves non-root receive buffers
-    unmodified. The previous behaviour — zero-filling non-root ranks —
-    could launder a schedule that wrongly reads a non-root buffer into an
-    all-zero "correct-looking" result.
-    """
-    total = _accumulate(values, group, op).astype(dtype)
-    root_rank = group.global_rank(root)
-    return {
-        r: total.copy()
-        if r == root_rank
-        else np.asarray(values[r]).astype(dtype)
-        for r in group
-    }
-
-
-def broadcast_reference(
-    values: RankValues, group: ProcessGroup, root: int
-) -> RankValues:
-    """Every rank receives the root rank's value."""
-    root_rank = group.global_rank(root)
-    src = values[root_rank]
-    return {r: src.copy() for r in group}
-
-
-# ---------------------------------------------------------------------------
-# Vectorized backend: one (group.size, *per_rank_shape) stacked array.
-# ---------------------------------------------------------------------------
 
 
 def allreduce_vectorized(
@@ -356,9 +174,11 @@ def reduce_vectorized(
     """Reduce as an indexed assignment onto the root's row.
 
     Non-root rows keep their input values (cast to ``dtype``), matching
-    NCCL semantics — see :func:`reduce_reference`.
+    NCCL semantics: ``ncclReduce`` leaves non-root receive buffers
+    unmodified, so zero-filling them could launder a schedule that
+    wrongly reads a non-root buffer into a "correct-looking" result.
     """
-    group.global_rank(root)  # same root range check as the reference
+    group.global_rank(root)  # range-checks the root
     total = _accumulate_stacked(stacked, op).astype(dtype)
     out = np.asarray(stacked).astype(dtype)  # astype copies; rows writable
     out[root] = total
@@ -369,7 +189,7 @@ def broadcast_vectorized(
     stacked: np.ndarray, group: ProcessGroup, root: int
 ) -> np.ndarray:
     """Broadcast as a stride-0 replication of the root's row."""
-    group.global_rank(root)  # same root range check as the reference
+    group.global_rank(root)  # range-checks the root
     return replicate(np.ascontiguousarray(stacked[root]), group.size)
 
 

@@ -126,7 +126,13 @@ from repro.observe.ring import (
 )
 from repro.runtime.collectives import _reduce_stack
 from repro.runtime.faults import FaultPlan
-from repro.runtime.world import SimWorld, slice_of
+from repro.runtime.world import (
+    place_inputs,
+    rank_invariant,
+    replicate,
+    slice_of,
+    unstack_global,
+)
 
 __all__ = [
     "SpmdCommunicator",
@@ -773,7 +779,8 @@ class SpmdCommunicator:
         Peers are drained in the pairwise step order of
         :func:`repro.nccl.algorithms.all_to_all_steps` (in step ``t``
         rank ``r`` receives from ``(r - t - 1) mod n``); the result is
-        assembled in source-rank order, matching the reference. A
+        assembled in source-rank order, matching the rank-major
+        :func:`repro.runtime.collectives.alltoall_vectorized`. A
         pending chunk token on the group is consumed chunk-by-chunk
         like every other collective.
         """
@@ -1347,34 +1354,32 @@ def _rank_main(
 def _place_per_rank(
     program, inputs: Mapping[str, np.ndarray], allow_downcast
 ) -> List[Dict[str, np.ndarray]]:
-    """Scatter global inputs into per-rank shards (reference placement)."""
-    world_size = program.inputs[0].group.world_size
-    world = SimWorld(world_size, reference=True)
+    """Scatter global inputs into per-rank shards.
+
+    Each shard is a row of the tensor's stacked placement. A replicated
+    stack is a stride-0 view, so its rows are copied: ranks running as
+    threads must never share an input buffer.
+    """
+    world = place_inputs(program, inputs, allow_downcast)
+    shards: List[Dict[str, np.ndarray]] = [
+        {} for _ in range(program.inputs[0].group.world_size)
+    ]
     for t in program.inputs:
-        if t.name not in inputs:
-            raise ExecutionError(f"missing input {t.name!r}")
-        world.place_input(
-            t, np.asarray(inputs[t.name]), allow_downcast=allow_downcast
-        )
-    extra = set(inputs) - {t.name for t in program.inputs}
-    if extra:
-        raise ExecutionError(f"unknown inputs: {sorted(extra)}")
-    shards: List[Dict[str, np.ndarray]] = []
-    for r in range(world_size):
-        shards.append(
-            {
-                name: per_rank[r]
-                for name, per_rank in world.storage.items()
-                if r in per_rank
-            }
-        )
+        stacked = world.state(t.name)
+        shared = rank_invariant(stacked)
+        for i, r in enumerate(t.group):
+            row = stacked[i, ...]  # an ndarray even for 0-d scalars
+            shards[r][t.name] = row.copy() if shared else row
     return shards
 
 
-def _assemble(e, per_rank: Dict[int, np.ndarray]) -> np.ndarray:
-    from repro.runtime.executor import Executor
-
-    return Executor._assemble(e, per_rank)
+def _assemble(e, rows: List[np.ndarray]) -> np.ndarray:
+    """The global value of ``e`` from its group's per-rank rows."""
+    if e.layout.is_replicated:
+        stacked = replicate(rows[0], len(rows))
+    else:
+        stacked = np.stack(rows, axis=0)
+    return unstack_global(stacked, e.layout, e.shape)
 
 
 @contextmanager
@@ -1451,14 +1456,16 @@ class _Reports:
         results = self.results
         outputs = {}
         for o in program.outputs:
-            per_rank = {r: results[r][0][o.name] for r in o.group}
-            outputs[o.name] = _assemble(o, per_rank)
+            outputs[o.name] = _assemble(
+                o, [results[r][0][o.name] for r in o.group]
+            )
         states = {}
         for t in program.inputs:
             if not isinstance(t, Tensor):
                 continue
-            per_rank = {r: results[r][1][t.name] for r in t.group}
-            states[t.name] = _assemble(t, per_rank)
+            states[t.name] = _assemble(
+                t, [results[r][1][t.name] for r in t.group]
+            )
         result = ProgramResult(outputs, states)
         # per-rank wall-clock of the rank bodies (barrier-synchronized,
         # so launch time is excluded); the slowest rank is the step time

@@ -51,7 +51,8 @@ from repro.nccl.cost_model import (
     PER_CHANNEL_BANDWIDTH,
     p2p_time,
 )
-from repro.runtime import Executor, collectives
+from repro.runtime import Executor
+from tests import oracle
 from tests.conftest import assert_matches_lowered
 
 
@@ -71,7 +72,7 @@ class TestReferenceCollective:
         vals = {
             r: np.arange(n * 2, dtype=np.float32) + 100 * r for r in range(n)
         }
-        out = collectives.alltoall_reference(vals, world(n), 0)
+        out = oracle.alltoall_reference(vals, world(n), 0)
         for i in range(n):
             for j in range(n):
                 np.testing.assert_array_equal(
@@ -83,34 +84,34 @@ class TestReferenceCollective:
         # dispatch followed by combine restores token ownership
         n = 4
         vals = _values(rng, n, (n, 3))
-        once = collectives.alltoall_reference(vals, world(n), 0)
-        twice = collectives.alltoall_reference(once, world(n), 0)
+        once = oracle.alltoall_reference(vals, world(n), 0)
+        twice = oracle.alltoall_reference(once, world(n), 0)
         for r in range(n):
             np.testing.assert_array_equal(twice[r], vals[r])
 
     def test_single_rank_is_identity(self, rng):
         vals = _values(rng, 1, (4,))
-        out = collectives.alltoall_reference(vals, world(1), 0)
+        out = oracle.alltoall_reference(vals, world(1), 0)
         np.testing.assert_array_equal(out[0], vals[0])
 
     def test_along_inner_dim(self, rng):
         n = 2
         vals = _values(rng, n, (3, 2 * n))
-        out = collectives.alltoall_reference(vals, world(n), 1)
+        out = oracle.alltoall_reference(vals, world(n), 1)
         np.testing.assert_array_equal(out[0][:, :2], vals[0][:, :2])
         np.testing.assert_array_equal(out[0][:, 2:], vals[1][:, :2])
 
     def test_subgroup(self, rng):
         g = ProcessGroup(4, 4, 8)
         vals = {r: rng.randn(8).astype(np.float32) for r in g}
-        out = collectives.alltoall_reference(vals, g, 0)
+        out = oracle.alltoall_reference(vals, g, 0)
         assert set(out) == set(g.ranks)
         np.testing.assert_array_equal(out[5][2:4], vals[5][2:4])
 
     def test_total_content_preserved(self, rng):
         n = 4
         vals = _values(rng, n, (n * 2, 3))
-        out = collectives.alltoall_reference(vals, world(n), 0)
+        out = oracle.alltoall_reference(vals, world(n), 0)
         before = np.sort(np.concatenate([vals[r].ravel() for r in range(n)]))
         after = np.sort(np.concatenate([out[r].ravel() for r in range(n)]))
         np.testing.assert_array_equal(before, after)
@@ -133,7 +134,7 @@ class TestStepSimulatorEquivalence:
     def test_matches_reference(self, rng, n, shape_fn):
         shape = shape_fn(n)
         vals = _values(rng, n, shape)
-        ref = collectives.alltoall_reference(vals, world(n), 0)
+        ref = oracle.alltoall_reference(vals, world(n), 0)
         sim = simulate_alltoall([vals[r] for r in range(n)], 0)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
@@ -141,7 +142,7 @@ class TestStepSimulatorEquivalence:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_matches_reference_inner_dim(self, rng, n):
         vals = _values(rng, n, (3, 2 * n))
-        ref = collectives.alltoall_reference(vals, world(n), 1)
+        ref = oracle.alltoall_reference(vals, world(n), 1)
         sim = simulate_alltoall([vals[r] for r in range(n)], 1)
         for r in range(n):
             np.testing.assert_array_equal(ref[r], sim[r])
@@ -155,7 +156,7 @@ class TestStepSimulatorEquivalence:
     def test_equivalence_property(self, n, per, seed):
         r = np.random.RandomState(seed)
         vals = [r.randn(n * per).astype(np.float32) for _ in range(n)]
-        ref = collectives.alltoall_reference(
+        ref = oracle.alltoall_reference(
             {i: v for i, v in enumerate(vals)}, world(n), 0
         )
         sim = simulate_alltoall(vals, 0)
@@ -194,9 +195,9 @@ class TestHierarchicalPhases:
     @pytest.mark.parametrize("n,m", [(4, 2), (8, 2), (8, 4), (8, 8), (4, 4)])
     def test_composition_equals_flat(self, rng, n, m):
         vals = _values(rng, n, (n * 2, 3))
-        flat = collectives.alltoall_reference(vals, world(n), 0)
-        intra = collectives.alltoall_intra_reference(vals, world(n), 0, m)
-        inter = collectives.alltoall_inter_reference(intra, world(n), 0, m)
+        flat = oracle.alltoall_reference(vals, world(n), 0)
+        intra = oracle.alltoall_intra_reference(vals, world(n), 0, m)
+        inter = oracle.alltoall_inter_reference(intra, world(n), 0, m)
         for r in range(n):
             np.testing.assert_array_equal(flat[r], inter[r])
 
@@ -204,15 +205,15 @@ class TestHierarchicalPhases:
         # with one node the inter phase has nothing to exchange
         n = 4
         vals = _values(rng, n, (n,))
-        intra = collectives.alltoall_intra_reference(vals, world(n), 0, n)
-        flat = collectives.alltoall_reference(vals, world(n), 0)
+        intra = oracle.alltoall_intra_reference(vals, world(n), 0, n)
+        flat = oracle.alltoall_reference(vals, world(n), 0)
         for r in range(n):
             np.testing.assert_array_equal(intra[r], flat[r])
 
     def test_indivisible_node_size_raises(self, rng):
         vals = _values(rng, 4, (4,))
         with pytest.raises(ValueError):
-            collectives.alltoall_intra_reference(vals, world(4), 0, 3)
+            oracle.alltoall_intra_reference(vals, world(4), 0, 3)
 
 
 class TestOpConstruction:

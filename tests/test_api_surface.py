@@ -98,3 +98,29 @@ class TestWorkloadsSurface:
             "PyTorchDDPStrategy", "ZeROStrategy", "CoCoNetStrategy",
         ):
             assert hasattr(b, name), name
+
+
+class TestNoComparisonModes:
+    """Product classes carry no option that only exists to be compared
+    against: the oracles live in ``tests/oracle.py``."""
+
+    REMOVED = ("reference", "baseline", "memoize", "scattered_metadata")
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "repro.runtime.executor.Executor",
+            "repro.runtime.world.SimWorld",
+            "repro.perf.engine.Engine",
+            "repro.core.autotuner.Autotuner",
+            "repro.perf.program_cost.ProgramCostModel",
+        ],
+    )
+    def test_constructor_takes_no_comparison_option(self, path):
+        import inspect
+
+        module, name = path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+        params = inspect.signature(cls.__init__).parameters
+        for option in self.REMOVED:
+            assert option not in params, (path, option)

@@ -345,15 +345,15 @@ class TestGoldenFiles:
         assert res.output_names
 
     def test_golden_run_matches_raw_dfg_oracle(self):
-        # the artifact's lowered execution agrees with running the
-        # reconstructed program on the unscheduled DFG interpreter
+        # the artifact's lowered execution agrees with interpreting the
+        # reconstructed program's raw DFG on the per-rank dict oracle
         from repro.cli import _seeded_inputs
+        from tests.oracle import reference_run
 
         art = artifact.load(GOLDEN_ADAM)
         inputs = _seeded_inputs(art.program, seed=0)
-        ex = Executor()
-        low = ex.run_lowered(art, inputs, allow_downcast=True)
-        dfg = ex.run(art.program, inputs, allow_downcast=True)
+        low = Executor().run_lowered(art, inputs, allow_downcast=True)
+        dfg = reference_run(art.program, inputs, allow_downcast=True)
         for name in low.output_names:
             np.testing.assert_array_equal(
                 low.output(name), dfg.output(name), err_msg=name

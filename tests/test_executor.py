@@ -37,6 +37,7 @@ from repro.core import (
 )
 from repro.errors import ExecutionError
 from repro.runtime import Executor
+from tests.oracle import reference_run
 
 
 @pytest.fixture
@@ -288,7 +289,7 @@ class TestCommOps:
 
 
 class TestReferenceBackend:
-    """`Executor(reference=True)` keeps the per-rank dict semantics."""
+    """The executor matches the per-rank dict oracle's semantics."""
 
     def test_reduce_non_root_keeps_input(self, rng):
         # regression: reduce used to zero-fill non-root ranks; NCCL (and
@@ -299,10 +300,8 @@ class TestReferenceBackend:
         red = Reduce("+", a, root=1, name="red")
         prog = Execute("p", [a], [red])
         av = rng.randn(4, 4).astype(np.float32)
-        for reference in (True, False):
-            out = Executor(reference=reference).run(
-                prog, {"a": av}
-            ).output("red")
+        for run in (reference_run, Executor().run):
+            out = run(prog, {"a": av}).output("red")
             np.testing.assert_array_equal(out[0], av[0])
             np.testing.assert_array_equal(out[3], av[3])
 
@@ -313,7 +312,7 @@ class TestReferenceBackend:
         later = Binary("+", p, 0.0, name="later")
         prog = Execute("p", [p], [later], effects=[u])
         pv = rng.randn(4)
-        ref = Executor(reference=True).run(prog, {"p": pv})
+        ref = reference_run(prog, {"p": pv})
         vec = Executor().run(prog, {"p": pv})
         np.testing.assert_array_equal(ref.output("later"), vec.output("later"))
         np.testing.assert_array_equal(
@@ -324,8 +323,6 @@ class TestReferenceBackend:
         W = world(2)
         p = Tensor(FP16, (4,), Replicated, W, name="p")
         prog = Execute("p", [p], [p + 0.0])
-        for reference in (True, False):
+        for run in (reference_run, Executor().run):
             with pytest.raises(ExecutionError, match="lossy downcast"):
-                Executor(reference=reference).run(
-                    prog, {"p": rng.randn(4)}, allow_downcast=False
-                )
+                run(prog, {"p": rng.randn(4)}, allow_downcast=False)

@@ -1,8 +1,9 @@
 """The shared lowering IR and the three backends that consume it.
 
 Structural tests of :func:`repro.core.lower.lower`, differential
-property tests ``run_lowered`` ≡ DFG ``Executor.run`` ≡
-``Executor(reference=True)`` (bit-identical outputs *and* tensor states)
+property tests ``run_lowered(schedule)`` ≡ ``Executor.run(program)`` ≡
+the dict-of-ranks oracle ``tests.oracle.reference_run`` (bit-identical
+outputs *and* tensor states)
 across every workload's original / named / autotuned schedules, the
 chunk-by-chunk instruction trace, the cost model's consumption of the
 stream, and the §5.4 bucket metadata wiring.
@@ -25,7 +26,7 @@ from repro.core.lower import (
 )
 from repro.core.tensor import Tensor
 from repro.core.transforms import KernelKind, Schedule
-from repro.errors import CoCoNetError, ExecutionError
+from repro.errors import CoCoNetError
 from repro.perf import Engine, ProgramCostModel
 from repro.runtime import Executor
 from repro.scattered.bucketing import bucket_memory_overhead
@@ -34,6 +35,7 @@ from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 from repro.workloads.pipeline import PipelineWorkload
+from tests.oracle import reference_run
 
 
 @pytest.fixture
@@ -53,11 +55,11 @@ def optimizer_inputs(rng, n=4, N=64):
 
 
 def assert_triple_parity(sched, inputs):
-    """run_lowered ≡ DFG run ≡ reference run, bit-for-bit."""
+    """run_lowered ≡ unscheduled run ≡ oracle run, bit-for-bit."""
     program = sched.program if isinstance(sched, Schedule) else sched
     low = Executor().run_lowered(sched, inputs, allow_downcast=True)
     dfg = Executor().run(program, inputs, allow_downcast=True)
-    ref = Executor(reference=True).run(program, inputs, allow_downcast=True)
+    ref = reference_run(program, inputs, allow_downcast=True)
     for o in program.outputs:
         np.testing.assert_array_equal(
             low.output(o.name), dfg.output(o.name), err_msg=o.name
@@ -276,7 +278,8 @@ class TestPlanAnnotations:
 
 
 class TestRunLoweredParity:
-    """run_lowered ≡ DFG run ≡ reference run on every schedule family."""
+    """run_lowered ≡ unscheduled run ≡ oracle run on every schedule
+    family."""
 
     def test_adam_all_schedules(self, rng):
         wl = AdamWorkload.build(64, 4)
@@ -411,13 +414,6 @@ class TestChunkTrace:
             (gemm, loop.num_chunks - 1)
         )
 
-    def test_reference_backend_rejects_run_lowered(self, rng):
-        wl = AdamWorkload.build(32, 4, grad_dtype=FP32)
-        with pytest.raises(ExecutionError, match="vectorized"):
-            Executor(reference=True).run_lowered(
-                wl.program, optimizer_inputs(rng, N=32)
-            )
-
 
 class TestCostFromLowering:
     def test_time_equals_engine_run_of_lowered_tasks(self):
@@ -465,12 +461,12 @@ class TestCostFromLowering:
         assert pack.metadata_bytes == 48
 
     def test_scattered_metadata_is_costed(self):
-        # the bucket table is read by the fused kernel: with the §5.4
-        # metadata charged, the fused collective can only get slower —
-        # and strictly slower once the kernel is compute-bound (a slow
-        # fused-compute parameterization makes the extra HBM traffic
-        # observable rather than hidden under the exchange time)
-        from repro.perf.kernel_cost import CostParams
+        # the bucket table is read by the fused kernel: its §5.4
+        # metadata bytes join the compute side's HBM traffic. A slow
+        # fused-compute parameterization makes the kernel compute-bound,
+        # so its duration exposes the compute term.
+        from repro.core import ops
+        from repro.perf.kernel_cost import CostParams, pointwise_time
 
         wl = AdamWorkload.build(2**22, 64, grad_dtype=FP32)
         sched = wl.schedule_fused()
@@ -478,21 +474,24 @@ class TestCostFromLowering:
             k for k in sched.plan().kernels
             if k.kind is KernelKind.FUSED_COLLECTIVE
         )
+        pack = fused_pack_info(kernel)
+        assert pack is not None and pack.metadata_bytes > 0
         slow = CostParams(peak_fraction=0.0005)
-        with_meta = ProgramCostModel(
-            Cluster(4), fused_compute_params=slow
-        )._kernel_cost(kernel)
-        without = ProgramCostModel(
-            Cluster(4), fused_compute_params=slow,
-            scattered_metadata=False,
-        )._kernel_cost(kernel)
-        assert with_meta.duration > without.duration
-        # default parameters: never cheaper with the metadata charged
-        t_on = ProgramCostModel(Cluster(4)).time(sched)
-        t_off = ProgramCostModel(
-            Cluster(4), scattered_metadata=False
-        ).time(sched)
-        assert t_on >= t_off
+        pcm = ProgramCostModel(Cluster(4), fused_compute_params=slow)
+        comp_ops = [
+            e for e in kernel.exprs if not isinstance(e, ops.CommOp)
+        ]
+        traffic = pcm._compute_traffic(comp_ops)
+        compute = pointwise_time(
+            traffic + pack.metadata_bytes, pcm.gpu, slow,
+            include_launch=False,
+        )
+        assert compute > pointwise_time(
+            traffic, pcm.gpu, slow, include_launch=False
+        )
+        assert pcm._kernel_cost(kernel).duration == (
+            compute + pcm.gpu.kernel_launch_overhead
+        )
 
 
 class TestSignatureOnLoweredIR:

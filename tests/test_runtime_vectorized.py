@@ -1,8 +1,8 @@
 """The rank-major vectorized runtime against the reference oracle.
 
-Property tests that every vectorized collective and the vectorized
-executor are *bit-identical* (``np.array_equal``) to the retained
-dict-of-ranks reference backend, plus the bugfix-sweep regressions:
+Property tests that every vectorized collective and the executor are
+*bit-identical* (``np.array_equal``) to the dict-of-ranks oracle of
+``tests/oracle.py``, plus the bugfix-sweep regressions:
 NCCL-matching Reduce semantics, tensor/op context in divisibility
 errors, and the lossy-downcast policy of ``SimWorld.place_input``.
 """
@@ -36,6 +36,7 @@ from repro.runtime.world import (
     scatter_axis,
     slice_of,
 )
+from tests import oracle
 
 
 def _pair(rng, group, shape, dtype=np.float32):
@@ -66,7 +67,7 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per,))
-        ref = collectives.allreduce_reference(d, g, op, np.float32)
+        ref = oracle.allreduce_reference(d, g, op, np.float32)
         vec = collectives.allreduce_vectorized(s, g, op, np.float32)
         assert_backends_equal(ref, vec, g)
 
@@ -81,10 +82,10 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per, n * per))
-        ref_rs = collectives.reducescatter_reference(d, g, "+", dim, np.float32)
+        ref_rs = oracle.reducescatter_reference(d, g, "+", dim, np.float32)
         vec_rs = collectives.reducescatter_vectorized(s, g, "+", dim, np.float32)
         assert_backends_equal(ref_rs, vec_rs, g)
-        ref_ag = collectives.allgather_reference(ref_rs, g, dim)
+        ref_ag = oracle.allgather_reference(ref_rs, g, dim)
         vec_ag = collectives.allgather_vectorized(vec_rs, g, dim)
         assert_backends_equal(ref_ag, vec_ag, g)
 
@@ -99,7 +100,7 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (n * per, n * per))
-        ref = collectives.alltoall_reference(d, g, dim)
+        ref = oracle.alltoall_reference(d, g, dim)
         vec = collectives.alltoall_vectorized(s, g, dim)
         assert_backends_equal(ref, vec, g)
 
@@ -115,10 +116,10 @@ class TestCollectiveParity:
         rng = np.random.RandomState(seed)
         g = world(n)
         d, s = _pair(rng, g, (6,))
-        ref = collectives.reduce_reference(d, g, op, root, np.float32)
+        ref = oracle.reduce_reference(d, g, op, root, np.float32)
         vec = collectives.reduce_vectorized(s, g, op, root, np.float32)
         assert_backends_equal(ref, vec, g)
-        ref_bc = collectives.broadcast_reference(ref, g, root)
+        ref_bc = oracle.broadcast_reference(ref, g, root)
         vec_bc = collectives.broadcast_vectorized(vec, g, root)
         assert_backends_equal(ref_bc, vec_bc, g)
 
@@ -126,10 +127,10 @@ class TestCollectiveParity:
         rng = np.random.RandomState(9)
         g = ProcessGroup(4, 4, 8)
         d, s = _pair(rng, g, (8,))
-        ref = collectives.allreduce_reference(d, g, "+", np.float32)
+        ref = oracle.allreduce_reference(d, g, "+", np.float32)
         vec = collectives.allreduce_vectorized(s, g, "+", np.float32)
         assert_backends_equal(ref, vec, g)
-        ref = collectives.alltoall_reference(d, g, 0)
+        ref = oracle.alltoall_reference(d, g, 0)
         vec = collectives.alltoall_vectorized(s, g, 0)
         assert_backends_equal(ref, vec, g)
 
@@ -153,14 +154,14 @@ class TestHierarchicalAllToAll:
         rng = np.random.RandomState(100 + n)
         g = world(n)
         d, s = _pair(rng, g, (2 * n, 3))
-        flat_ref = collectives.alltoall_reference(d, g, 0)
+        flat_ref = oracle.alltoall_reference(d, g, 0)
         flat_vec = collectives.alltoall_vectorized(s, g, 0)
         assert_backends_equal(flat_ref, flat_vec, g)
         for m in range(1, n + 1):
             if n % m != 0:
                 continue
-            intra_ref = collectives.alltoall_intra_reference(d, g, 0, m)
-            inter_ref = collectives.alltoall_inter_reference(intra_ref, g, 0, m)
+            intra_ref = oracle.alltoall_intra_reference(d, g, 0, m)
+            inter_ref = oracle.alltoall_inter_reference(intra_ref, g, 0, m)
             assert_backends_equal(flat_ref, inter_ref, g)
             intra_vec = collectives.alltoall_intra_vectorized(s, g, 0, m)
             inter_vec = collectives.alltoall_inter_vectorized(intra_vec, g, 0, m)
@@ -179,8 +180,8 @@ class TestHierarchicalAllToAll:
             np.testing.assert_array_equal(
                 np.asarray(flat), np.asarray(inter)
             )
-            ref = collectives.alltoall_inter_reference(
-                collectives.alltoall_intra_reference(d, g, 1, m), g, 1, m
+            ref = oracle.alltoall_inter_reference(
+                oracle.alltoall_intra_reference(d, g, 1, m), g, 1, m
             )
             assert_backends_equal(ref, inter, g)
 
@@ -252,7 +253,8 @@ class TestReduceSemantics:
         red = Reduce("+", a, root=2, name="red")
         prog = Execute("p", [a], [red])
         av = rng.randn(4, 4).astype(np.float32)
-        out = Executor(reference=reference).run(prog, {"a": av}).output("red")
+        run = oracle.reference_run if reference else Executor().run
+        out = run(prog, {"a": av}).output("red")
         total = np.sum(av.astype(np.float64), axis=0).astype(np.float32)
         np.testing.assert_array_equal(out[2], total)
         for r in (0, 1, 3):
@@ -265,9 +267,11 @@ class TestReduceSemantics:
         rng = np.random.RandomState(5)
         g = world(4)
         d, s = _pair(rng, g, (4,))
-        for backend, vals in (("reference", d), ("vectorized", s)):
-            reduce = getattr(collectives, f"reduce_{backend}")
-            broadcast = getattr(collectives, f"broadcast_{backend}")
+        for module, backend, vals in (
+            (oracle, "reference", d), (collectives, "vectorized", s)
+        ):
+            reduce = getattr(module, f"reduce_{backend}")
+            broadcast = getattr(module, f"broadcast_{backend}")
             with pytest.raises(GroupError):
                 reduce(vals, g, "+", root, np.float32)
             with pytest.raises(GroupError):
@@ -299,7 +303,7 @@ class TestErrorContext:
         g = world(4)
         if as_dict:
             vals = {r: np.zeros(6, np.float32) for r in g}
-            alltoall = collectives.alltoall_reference
+            alltoall = oracle.alltoall_reference
         else:
             vals = np.zeros((4, 6), np.float32)
             alltoall = collectives.alltoall_vectorized
@@ -311,7 +315,7 @@ class TestErrorContext:
         g = world(4)
         if as_dict:
             vals = {r: np.zeros(6, np.float32) for r in g}
-            reducescatter = collectives.reducescatter_reference
+            reducescatter = oracle.reducescatter_reference
         else:
             vals = np.zeros((4, 6), np.float32)
             reducescatter = collectives.reducescatter_vectorized
@@ -340,7 +344,7 @@ class TestDowncastPolicy:
             )
 
     def test_true_is_silent(self):
-        w = SimWorld(2, reference=True)
+        w = SimWorld(2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w.place_input(
@@ -378,7 +382,7 @@ class TestDowncastPolicy:
 
 def _assert_program_parity(program, inputs):
     vec = Executor().run(program, inputs, allow_downcast=True)
-    ref = Executor(reference=True).run(program, inputs, allow_downcast=True)
+    ref = oracle.reference_run(program, inputs, allow_downcast=True)
     for name in vec.output_names:
         np.testing.assert_array_equal(
             vec.output(name), ref.output(name), err_msg=name
@@ -393,7 +397,7 @@ def _assert_program_parity(program, inputs):
 
 
 class TestExecutorBackendParity:
-    """Both backends run every schedule unchanged, bit-identically."""
+    """The executor and the oracle run every schedule bit-identically."""
 
     @pytest.fixture
     def rng(self):
@@ -472,7 +476,7 @@ class TestExecutorBackendParity:
 
     def test_tuned_schedules_parity(self, rng):
         # The autotuner's winning schedule (and every candidate it
-        # enumerated) runs identically on both backends.
+        # enumerated) runs identically on the executor and the oracle.
         from repro.cluster import Cluster
         from repro.core.autotuner import Autotuner
         from repro.workloads.attention import AttentionWorkload

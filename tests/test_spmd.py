@@ -219,6 +219,49 @@ class TestSpmdInterface:
             Executor().run_spmd(wl.program, inputs, allow_downcast=True)
 
 
+class TestPlacePerRank:
+    """Every rank's input shard is its own writable buffer, so ranks
+    running as threads can never see each other's in-place writes."""
+
+    def _program(self):
+        from repro.core import RANK, Execute, Local, Scalar, Sliced, world
+
+        W = world(4)
+        rep = Tensor(FP32, (8,), Replicated_, W, name="rep")
+        sl = Tensor(FP32, (8, 2), Sliced(0), W, RANK, name="sl")
+        loc = Tensor(FP32, (3,), Local, W, RANK, name="loc")
+        lr = Scalar(FP32, name="lr", group=W)
+        outs = [rep * lr, sl * 2.0, loc * 2.0]
+        return Execute("place", [rep, sl, loc, lr], outs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shards_are_private_and_writable(self, rng, dtype):
+        from repro.runtime.spmd import _place_per_rank
+        from tests.oracle import ReferenceWorld
+
+        prog = self._program()
+        inputs = {
+            "rep": rng.randn(8).astype(dtype),
+            "sl": rng.randn(8, 2).astype(dtype),
+            "loc": rng.randn(4, 3).astype(dtype),
+            "lr": np.asarray(rng.randn(), dtype=dtype),
+        }
+        shards = _place_per_rank(prog, inputs, allow_downcast=True)
+        ref = ReferenceWorld(4)
+        for t in prog.inputs:
+            ref.place_input(t, inputs[t.name], allow_downcast=True)
+        assert len(shards) == 4
+        for name, value in inputs.items():
+            rows = [shards[r][name] for r in range(4)]
+            for r, row in enumerate(rows):
+                np.testing.assert_array_equal(row, ref.storage[name][r])
+                assert isinstance(row, np.ndarray), (name, r)
+                assert row.flags.writeable, (name, r)
+                assert not np.shares_memory(row, value), (name, r)
+                for other in rows[r + 1:]:
+                    assert not np.shares_memory(row, other), (name, r)
+
+
 def _shm_spmd_segments():
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         return []

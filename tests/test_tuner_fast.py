@@ -2,9 +2,10 @@
 signature dedup, memoized cost evaluation, and lower-bound pruning.
 
 The invariant everything here guards: the optimizations change how fast
-the search runs, never what it returns. ``Autotuner(baseline=True)``
-(root replay + unmemoized costs + O(n²) reference engine, same
-candidate space) is the executable specification.
+the search runs, never what it returns. The executable specification is
+the test oracle: every candidate's move script replayed from the root
+(``tests.oracle.replay``) and priced by a fresh cost model on the O(n²)
+reference scheduler (``tests.oracle.ReferenceEngine``).
 """
 
 import pytest
@@ -12,11 +13,12 @@ import pytest
 from repro.cluster import Cluster
 from repro.core.autotuner import Autotuner
 from repro.core.transforms import Schedule
-from repro.perf import Engine, ProgramCostModel
+from repro.perf import ProgramCostModel
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
+from tests.oracle import ReferenceEngine, replay
 
 
 def _suite():
@@ -28,25 +30,30 @@ def _suite():
     ]
 
 
+def _uncached(cluster):
+    """A fresh cost model on the reference scheduler: no memo entries
+    carried over from any earlier schedule."""
+    return ProgramCostModel(cluster, engine=ReferenceEngine())
+
+
 class TestMemoizedCostModel:
     def test_cached_matches_uncached_bitwise_on_all_workloads(self):
         # memoization returns the stored float, so agreement must be
         # exact, not approximate
         for wl, cluster in _suite():
-            cached = ProgramCostModel(cluster, memoize=True)
-            uncached = ProgramCostModel(cluster, memoize=False)
+            cached = ProgramCostModel(cluster)
             for name, sched in wl.schedules().items():
-                assert cached.time(sched) == uncached.time(sched), (
-                    wl.program.name, name
-                )
+                assert cached.time(sched) == _uncached(cluster).time(
+                    sched
+                ), (wl.program.name, name)
 
     def test_cached_matches_uncached_across_tuned_candidates(self):
         wl = MoEWorkload.build(128, 512, 2048, 16)
         result = Autotuner(Cluster(1), prune=False).tune(wl.program)
-        cached = ProgramCostModel(Cluster(1), memoize=True)
-        uncached = ProgramCostModel(Cluster(1), memoize=False)
+        cached = ProgramCostModel(Cluster(1))
         for c in result.candidates:
-            assert cached.time(c.schedule) == uncached.time(c.schedule)
+            uncached = _uncached(Cluster(1)).time(c.schedule)
+            assert cached.time(c.schedule) == uncached
             assert cached.time(c.schedule) == c.time
 
     def test_memo_is_populated(self):
@@ -76,16 +83,20 @@ class TestMemoizedCostModel:
 class TestIncrementalMatchesBaseline:
     @pytest.mark.parametrize("idx", range(4))
     def test_same_candidates_same_times(self, idx):
+        # each forked candidate equals its move script replayed from the
+        # root, priced from scratch on the O(n²) scheduler
         wl, cluster = _suite()[idx]
-        base = Autotuner(cluster, baseline=True).tune(wl.program)
-        fast = Autotuner(cluster, prune=False).tune(wl.program)
-        assert [c.name for c in base.candidates] == [
-            c.name for c in fast.candidates
-        ]
-        for cb, cf in zip(base.candidates, fast.candidates):
-            assert cb.time == cf.time, cb.name
-        assert base.best.name == fast.best.name
-        assert base.best.time == fast.best.time
+        tuner = Autotuner(cluster, prune=False)
+        fast = tuner.tune(wl.program)
+        for c in fast.candidates:
+            if c.name == "default":  # the untouched program, no pre-pass
+                ref = Schedule(wl.program)
+            else:
+                ref = replay(tuner, wl.program, c.moves)
+            assert tuner._plan_signature(ref) == (
+                tuner._plan_signature(c.schedule)
+            ), c.name
+            assert _uncached(cluster).time(ref) == c.time, c.name
 
     @pytest.mark.parametrize("idx", range(4))
     def test_pruning_preserves_the_best(self, idx):
@@ -124,8 +135,8 @@ class TestPlanSignatureDedup:
     def test_orderings_produce_different_plans(self):
         tuner = Autotuner(Cluster(1))
         prog = AdamWorkload.build(2**18, 16).program
-        sig_a = tuner._plan_signature(tuner._replay(prog, self.ORDER_A))
-        sig_b = tuner._plan_signature(tuner._replay(prog, self.ORDER_B))
+        sig_a = tuner._plan_signature(replay(tuner, prog, self.ORDER_A))
+        sig_b = tuner._plan_signature(replay(tuner, prog, self.ORDER_B))
         assert sig_a != sig_b
 
     def test_both_orderings_are_explored(self):
@@ -151,7 +162,7 @@ class TestPlanSignatureDedup:
         # see the difference
         tuner = Autotuner(Cluster(1))
         prog = AdamWorkload.build(2**18, 16).program
-        replayed = tuner._replay(prog, self.ORDER_A)
+        replayed = replay(tuner, prog, self.ORDER_A)
         sched = tuner._fresh(prog)
         for m in self.ORDER_A:
             child = sched.fork()
@@ -190,18 +201,3 @@ class TestScheduleFork:
         sched = wl.schedule_overlapped()
         pcm = ProgramCostModel(Cluster(1))
         assert pcm.time(sched.fork()) == pcm.time(sched)
-
-
-class TestBaselineMode:
-    def test_baseline_uses_reference_engine_and_no_memo(self):
-        tuner = Autotuner(Cluster(1), baseline=True)
-        cost = tuner._factory(Cluster(1))
-        assert cost.engine.reference
-        assert not cost.memoize
-        assert not tuner.prune
-
-    def test_default_uses_heap_engine_and_memo(self):
-        tuner = Autotuner(Cluster(1))
-        cost = tuner._factory(Cluster(1))
-        assert not cost.engine.reference
-        assert cost.memoize
