@@ -16,7 +16,7 @@ Four measurements over :mod:`repro.runtime.faults`:
   chunked mm→AllReduce overlap pipeline: soft-retry escalation and
   redelivery must land bit-identical outputs.
 * **elastic recovery overhead** — ``die(1)`` at 4 ranks with
-  ``elastic=True``: wall-clock of the re-lowered recovery vs a direct
+  ``relower=``: wall-clock of the re-lowered recovery vs a direct
   run at the recovered world size, plus a run-it-twice determinism
   check on the whole failure path.
 
@@ -139,7 +139,7 @@ def fault_matrix(rng: np.random.RandomState, seeds: List[int]) -> Dict:
         res = Executor().run_spmd(
             sched, inputs, allow_downcast=True, fault_plan=plan,
             soft_timeout=0.5, timeout=60.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
         recovered = getattr(res, "elastic", None)
         if recovered is None:
@@ -247,7 +247,7 @@ def elastic_overhead(rng: np.random.RandomState) -> Dict:
         return Executor().run_spmd(
             wl.schedule_fused(), inputs, allow_downcast=True,
             fault_plan=plan, soft_timeout=0.5, timeout=60.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
 
     res = recover()

@@ -31,6 +31,7 @@ plan and the same time (``tests/test_tuner_fast.py``).
 
 from __future__ import annotations
 
+import hashlib
 import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -59,6 +60,30 @@ from repro.perf.program_cost import ProgramCostModel
 POINTWISE_FUSION_THRESHOLD = 64
 
 Move = Tuple[str, ...]
+
+
+def schedule_cache_key(program: Program, cluster: Cluster) -> Tuple[str, str]:
+    """The ``(key, topology)`` pair a tuned ``program`` is cached under.
+
+    ``key`` digests the untransformed program's name-free structural
+    hash together with every input's global shape and dtype, in
+    interface order. The structural hash alone is not enough: it sees
+    the lowered launch structure, which programs of different global
+    shapes can share (attention at batch 1 × seq 32 and at batch 2 ×
+    seq 16), and a tuned artifact only accepts the shapes it was built
+    for. ``topology`` is :meth:`Cluster.signature`, since a schedule is
+    only optimal for the cluster it was timed on.
+    """
+    from repro.core import artifact
+
+    h = hashlib.sha256(
+        artifact.structural_hash(
+            Schedule(program).lowered(cluster=cluster)
+        ).encode()
+    )
+    for t in program.inputs:
+        h.update(f"|{tuple(t.shape)}:{t.dtype}".encode())
+    return "sha256:" + h.hexdigest(), cluster.signature()
 
 
 @dataclass
@@ -306,13 +331,12 @@ class Autotuner:
     def tune(self, program: Program) -> TuneResult:
         """Explore all schedules of ``program``; return the fastest.
 
-        With a ``schedule_cache``, the search is consulted-through: the
-        untransformed program's structural hash plus the cluster's
-        topology signature key a lookup first (a hit skips the whole
-        BFS and returns the stored tuned schedule as an artifact-backed
-        candidate), and a miss writes the winning schedule back after
-        the search — so the next process submitting the same program
-        shape on the same topology never tunes again.
+        With a ``schedule_cache``, the search is consulted-through:
+        :func:`schedule_cache_key` keys a lookup first (a hit skips the
+        whole BFS and returns the stored tuned schedule as an
+        artifact-backed candidate), and a miss writes the winning
+        schedule back after the search — so the next process submitting
+        the same program shape on the same topology never tunes again.
 
         >>> from repro.cluster.topology import Cluster
         >>> from repro.workloads.adam import AdamWorkload
@@ -327,10 +351,7 @@ class Autotuner:
         cache = self.schedule_cache
         cache_key: Optional[Tuple[str, str]] = None
         if cache is not None:
-            cache_key = (
-                self._plan_signature(Schedule(program)),
-                self.cluster.signature(),
-            )
+            cache_key = schedule_cache_key(program, self.cluster)
             rec = cache.get(*cache_key)
             if rec is not None:
                 if self.metrics is not None:

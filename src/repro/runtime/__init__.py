@@ -14,13 +14,14 @@ chunk-by-chunk — so scheduled execution itself is numerically verified.
 per-rank dict-of-arrays oracle it is property-tested bit-identical
 against lives in ``tests/oracle.py``.
 
-``Executor.run_spmd`` leaves the single process altogether: it executes
-the generated SPMD module as one real OS process per rank over the
-shared-memory communicator of :mod:`repro.runtime.spmd`, bit-identical
-to ``run_lowered``. :mod:`repro.runtime.faults` injects deterministic,
-seeded failures (stragglers, stalls, dropped chunks, dead ranks) into
-that backend, and ``Executor.run_spmd(elastic=True)`` recovers from
-dead ranks by re-lowering for the surviving world size.
+``Executor.run_spmd`` leaves the single process altogether: it generates
+the per-rank SPMD module once and runs that very source as one real OS
+process per rank over the shared-memory communicator of
+:mod:`repro.runtime.spmd`, bit-identical to ``run_lowered``.
+:mod:`repro.runtime.faults` injects deterministic, seeded failures
+(stragglers, stalls, dropped chunks, dead ranks) into that backend, and
+``Executor.run_spmd(relower=...)`` recovers from dead ranks by
+re-lowering for the surviving world size.
 """
 
 from repro.runtime.executor import Executor, ProgramResult

@@ -83,14 +83,6 @@ class ProgramResult:
 class Executor:
     """Interprets programs over a :class:`SimWorld`."""
 
-    def __init__(self) -> None:
-        # Elastic recovery memo: (structural hash of the original
-        # schedule, world size) -> re-lowered Artifact, so repeated
-        # recoveries of the same workload skip re-lowering entirely.
-        self._elastic_cache: Dict[tuple, object] = {}
-        self.elastic_cache_hits = 0
-        self.elastic_cache_misses = 0
-
     def run(
         self,
         program: Program,
@@ -107,7 +99,6 @@ class Executor:
         self,
         scheduled,
         inputs: Mapping[str, np.ndarray],
-        nranks: Optional[int] = None,
         allow_downcast: Optional[bool] = None,
         protocol: str = "Simple",
         wire_s_per_mb: float = 0.0,
@@ -115,7 +106,6 @@ class Executor:
         soft_timeout: Optional[float] = None,
         fault_plan=None,
         tracer=None,
-        elastic: bool = False,
         relower=None,
         codegen_target: str = "spmd",
     ) -> ProgramResult:
@@ -129,8 +119,8 @@ class Executor:
         the communicator applies the same rank-order float64 reduction
         formulas as the vectorized collectives.
 
-        ``nranks``, when given, must equal the program's world size (a
-        program's placement is baked in at construction). ``wire_s_per_mb``
+        The program's world size (baked into its placement at
+        construction) is the number of rank processes. ``wire_s_per_mb``
         charges simulated wire time per published megabyte, letting
         benchmarks measure real overlap; ``timeout`` bounds every
         rendezvous wait so a failing rank cannot deadlock the run, and
@@ -138,10 +128,10 @@ class Executor:
         inside each wait. ``fault_plan`` injects a deterministic
         :class:`~repro.runtime.faults.FaultPlan` into every rank.
 
-        ``elastic=True`` arms recovery from dead ranks: when the run
-        fails because one or more rank *processes* died (an injected
-        ``die``, a kill, an OOM), the program is re-lowered for the
-        surviving world size via ``relower`` and re-executed — see
+        ``relower`` arms recovery from dead ranks: when the run fails
+        because one or more rank *processes* died (an injected ``die``,
+        a kill, an OOM), the program is re-lowered for the surviving
+        world size via ``relower`` and re-executed — see
         :meth:`_recover_spmd`. ``relower(world_size)`` must return
         ``(scheduled, inputs)`` (or just ``scheduled`` to reuse
         ``inputs``) built for that world size; world sizes descend from
@@ -166,14 +156,14 @@ class Executor:
 
         try:
             return self._run_spmd_once(
-                scheduled, inputs, nranks=nranks,
+                scheduled, inputs,
                 allow_downcast=allow_downcast, protocol=protocol,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, fault_plan=fault_plan,
                 tracer=tracer, codegen_target=codegen_target,
             )
         except SpmdWorkerError as exc:
-            if not elastic or not exc.dead_ranks:
+            if relower is None or not exc.dead_ranks:
                 raise
             return self._recover_spmd(
                 exc, scheduled, inputs, relower=relower,
@@ -188,7 +178,6 @@ class Executor:
         scheduled,
         inputs: Mapping[str, np.ndarray],
         *,
-        nranks: Optional[int] = None,
         allow_downcast: Optional[bool] = None,
         protocol: str = "Simple",
         wire_s_per_mb: float = 0.0,
@@ -204,16 +193,15 @@ class Executor:
         generated = CodeGenerator(
             protocol, target=codegen_target
         ).generate(scheduled)
+        launch = dict(
+            allow_downcast=allow_downcast,
+            wire_s_per_mb=wire_s_per_mb,
+            timeout=timeout,
+            soft_timeout=soft_timeout,
+            fault_plan=fault_plan,
+        )
         if tracer is None:
-            return generated.launch(
-                inputs,
-                nranks=nranks,
-                allow_downcast=allow_downcast,
-                wire_s_per_mb=wire_s_per_mb,
-                timeout=timeout,
-                soft_timeout=soft_timeout,
-                fault_plan=fault_plan,
-            )
+            return generated.launch(inputs, **launch)
 
         import shutil
         import tempfile
@@ -223,16 +211,7 @@ class Executor:
         trace_dir = tempfile.mkdtemp(prefix="repro_trace_")
         t_base = tracer.now()
         try:
-            return generated.launch(
-                inputs,
-                nranks=nranks,
-                allow_downcast=allow_downcast,
-                wire_s_per_mb=wire_s_per_mb,
-                timeout=timeout,
-                soft_timeout=soft_timeout,
-                fault_plan=fault_plan,
-                trace_dir=trace_dir,
-            )
+            return generated.launch(inputs, trace_dir=trace_dir, **launch)
         finally:
             tracer.extend(
                 merge_rank_traces(
@@ -270,36 +249,16 @@ class Executor:
         failed ranks, attempted sizes and recovery wall-clock; outputs
         are bit-identical to a direct run at the recovered world size
         (same relowered program, same deterministic backend).
-
-        Re-lowered programs are memoized on the executor as serialized
-        artifacts keyed by (structural hash of the original schedule,
-        recovered world size): a second recovery of the same workload at
-        the same world size skips the lower-and-serialize step entirely
-        and executes the cached artifact (``relower`` is still called —
-        it also rebuilds the inputs for the smaller world). The hit is
-        recorded in ``result.elastic["artifact_cache"]`` and in the
-        executor's ``elastic_cache_hits`` / ``elastic_cache_misses``
-        counters.
         """
         import time as _time
 
-        from repro.core import artifact as artifact_mod
         from repro.errors import CoCoNetError
 
         program = scheduled.program if hasattr(scheduled, "program") \
             else scheduled
         world_size = program.inputs[0].group.world_size
         dead = list(exc.dead_ranks)
-        if relower is None:
-            raise type(exc)(
-                f"{exc}\nelastic recovery needs relower=: pass a "
-                f"callable rebuilding the workload for a smaller world "
-                f"size (rank(s) {dead} died)",
-                context=exc.context,
-                dead_ranks=dead,
-            ) from exc
         t0 = _time.perf_counter()
-        base_sig = artifact_mod.as_artifact(scheduled).structural_hash
         attempted = []
         last_error: Exception = exc
         for ws in range(world_size - len(dead), 0, -1):
@@ -312,26 +271,14 @@ class Executor:
                 scheduled2, inputs2 = relowered
             else:
                 scheduled2, inputs2 = relowered, inputs
-            cached = self._elastic_cache.get((base_sig, ws))
-            if cached is not None:
-                self.elastic_cache_hits += 1
-                cache_state = "hit"
-            else:
-                self.elastic_cache_misses += 1
-                cache_state = "miss"
-                cached = artifact_mod.as_artifact(scheduled2)
-                self._elastic_cache[(base_sig, ws)] = cached
             if tracer is not None:
                 tracer.instant(
                     "elastic-relower", cat="fault",
-                    args={
-                        "world_size": ws, "dead_ranks": dead,
-                        "artifact_cache": cache_state,
-                    },
+                    args={"world_size": ws, "dead_ranks": dead},
                 )
             try:
                 result = self._run_spmd_once(
-                    cached, inputs2,
+                    scheduled2, inputs2,
                     allow_downcast=allow_downcast, protocol=protocol,
                     wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                     soft_timeout=soft_timeout, tracer=tracer,
@@ -347,7 +294,6 @@ class Executor:
                 "attempted": attempted,
                 "recovery_seconds": _time.perf_counter() - t0,
                 "cause": str(exc).splitlines()[0],
-                "artifact_cache": cache_state,
             }
             return result
         raise last_error

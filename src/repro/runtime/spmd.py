@@ -1,19 +1,20 @@
 """Real SPMD execution: every rank on its own shared-memory communicator.
 
-The dict and rank-major worlds and the lowered-stream interpreter all
-execute every rank inside one interpreter loop, so "communication" is
-a library call over arrays it already owns. This module runs the
-generated per-rank module (``CodeGenerator``, ``target="spmd"`` or
-``"native"``) as genuinely concurrent ranks that rendezvous through a
-:class:`SpmdCommunicator` built on ``multiprocessing.shared_memory``,
-with two launchers sharing one rank body (:func:`_run_rank`):
+The lowered-stream interpreter executes every rank inside one
+interpreter loop, so "communication" is a library call over arrays it
+already owns. This module runs the generated per-rank module
+(``CodeGenerator``, ``target="spmd"`` or ``"native"``) as genuinely
+concurrent ranks that rendezvous through a :class:`SpmdCommunicator`
+built on ``multiprocessing.shared_memory``. Every rank executes the
+one module source the parent generated (``GeneratedProgram.source``),
+and two launchers share one rank body (:func:`_run_rank`):
 
 * :func:`launch` spawns one OS process per rank (``multiprocessing``
-  spawn context) — the tier ``Executor.run_spmd`` drives, with fault
-  injection, tracing and elastic recovery;
+  spawn context) and ships it the source — the tier
+  ``Executor.run_spmd`` drives, with fault injection, tracing and
+  elastic recovery;
 * :func:`run_threads` runs one thread per rank in the calling process —
-  what ``GeneratedProgram.run`` uses, so in-process callers execute the
-  very module the rank processes run.
+  what ``GeneratedProgram.run`` uses.
 
 Transport protocol
 ------------------
@@ -76,8 +77,8 @@ failing kernel can never leak ``/dev/shm`` segments.
 Usage
 -----
 
-The high-level entry point is ``Executor.run_spmd`` (backend selection,
-artifact shipping, elastic recovery); ``launch`` is the raw engine
+The high-level entry point is ``Executor.run_spmd`` (code generation,
+tracing, elastic recovery); ``launch`` is the raw engine
 underneath. Not a doctest — it spawns one real OS process per rank:
 
 .. code-block:: python
@@ -91,8 +92,8 @@ underneath. Not a doctest — it spawns one real OS process per rank:
     out = Executor().run_spmd(sched, inputs, allow_downcast=True)
     # bit-identical to run_lowered(sched, inputs) — the acceptance
     # property tests/test_spmd.py holds the backend to; pass
-    # codegen_target="native" for compiled C kernels, elastic=True
-    # plus a FaultPlan for recovery from dead ranks.
+    # codegen_target="native" for compiled C kernels, relower= plus
+    # a FaultPlan for recovery from dead ranks.
 """
 
 from __future__ import annotations
@@ -143,13 +144,14 @@ __all__ = [
     "launch",
     "run_threads",
     "scaled_default_timeout",
-    "CollectivePool",
 ]
 
 #: bytes reserved at the start of every slot for the payload header
 HEADER_BYTES = 192
 #: ready counters encode ``seq * PROGRESS_BASE + chunks_published``
 PROGRESS_BASE = 1 << 20
+#: records each rank's trace ring holds (``launch(trace_dir=...)``)
+TRACE_CAPACITY = 32768
 #: error-flag value stored by a failing rank
 _ERR_FAILED = 1
 #: error-flag value the *parent* stores for a rank whose process died
@@ -1239,34 +1241,6 @@ class _Stream(object):
 # ---------------------------------------------------------------------------
 
 
-def _module_source(spec) -> str:
-    """Resolve a worker module spec to executable source.
-
-    ``spec`` is either raw generated source (a plain string, used when
-    a caller hands ``launch`` an explicit module) or ``("artifact",
-    text, protocol, target)``: a serialized :mod:`repro.core.artifact`
-    document from which this rank derives its module by deserializing
-    the portable IR and running the code generator locally for the
-    given codegen target — the worker never needs the originating
-    Python objects, only the artifact text. ``"native"`` workers rebuild
-    the same C source as the parent and resolve it through the shared
-    content-addressed kernel cache, so at most one rank per machine
-    actually compiles.
-    """
-    if isinstance(spec, str):
-        return spec
-    kind, text, protocol, target = spec
-    if kind == "artifact":
-        from repro.core import artifact as artifact_mod
-        from repro.core.codegen import CodeGenerator
-
-        # hand the artifact itself to generate(): the native target
-        # memoizes rendered modules by the artifact's content hash
-        art = artifact_mod.loads(text)
-        return CodeGenerator(protocol, target=target).generate(art).source
-    raise ExecutionError(f"unknown SPMD module spec kind {kind!r}")
-
-
 def _run_rank(rank: int, attach, module, inputs: Dict[str, np.ndarray]):
     """One rank's whole run, shared by the process and thread launchers.
 
@@ -1337,9 +1311,7 @@ def _rank_main(
                 timeout, trace_path=trace_path, soft_timeout=soft_timeout,
                 faults=fault_plan,
             ),
-            lambda: compile(
-                _module_source(source), f"<spmd rank {rank}>", "exec"
-            ),
+            lambda: compile(source, f"<spmd rank {rank}>", "exec"),
             inputs,
         ))
     finally:
@@ -1531,28 +1503,24 @@ def run_threads(
 
 
 def launch(
-    source: Optional[str],
+    source: str,
     program,
     inputs: Mapping[str, np.ndarray],
     *,
-    nranks: Optional[int] = None,
     allow_downcast: Optional[bool] = None,
     wire_s_per_mb: float = 0.0,
     timeout: Optional[float] = None,
     soft_timeout: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
     trace_dir: Optional[str] = None,
-    trace_capacity: int = 32768,
-    artifact_text: Optional[str] = None,
-    protocol: str = "Simple",
-    codegen_target: str = "spmd",
     compile_allowance_s: float = 0.0,
 ):
     """Run a generated SPMD module as one process per rank.
 
-    Spawns ``world_size`` processes, scatters the placed inputs, executes
-    ``run_rank`` on every rank over a shared-memory communicator, gathers
-    per-rank outputs/states and reassembles them into a
+    Spawns ``world_size`` processes, hands each the generated module
+    ``source`` and its placed input shard, executes ``run_rank`` on
+    every rank over a shared-memory communicator, gathers per-rank
+    outputs/states and reassembles them into a
     :class:`~repro.runtime.executor.ProgramResult`. Teardown is
     exception-safe: workers are joined (terminated on timeout) and both
     shared-memory segments are closed and unlinked in a ``finally`` even
@@ -1561,9 +1529,11 @@ def launch(
     ``timeout`` bounds every rendezvous wait (default:
     :func:`scaled_default_timeout`, so slow simulated wires stretch the
     deadline instead of false-timing-out); ``soft_timeout`` is the
-    escalation (soft-retry) deadline inside each wait. ``fault_plan``
-    injects the given :class:`~repro.runtime.faults.FaultPlan` into
-    every rank. The parent watches worker *process sentinels* alongside
+    escalation (soft-retry) deadline inside each wait;
+    ``compile_allowance_s`` widens the deadline once for a cold native
+    kernel cache. ``fault_plan`` injects the given
+    :class:`~repro.runtime.faults.FaultPlan` into every rank. The
+    parent watches worker *process sentinels* alongside
     their result pipes: a rank that dies without reporting (killed, an
     injected ``die``, OOM) is detected promptly, its error flag is
     broadcast on its behalf so surviving ranks abort their in-flight
@@ -1579,42 +1549,8 @@ def launch(
     mapped files owned by the caller — they survive faulty-rank
     teardown and are *not* removed here, so the caller can merge them
     whether or not the run succeeded.
-
-    ``artifact_text``, when given, is a serialized
-    :mod:`repro.core.artifact` document: it is what ships to the rank
-    processes (each worker deserializes the portable IR and derives its
-    module with the code generator at the given ``protocol``), and
-    ``source`` may then be ``None``. When ``program`` is also ``None``
-    it is reconstructed from the artifact, so a saved artifact file is
-    sufficient to launch a full SPMD run. Without ``artifact_text``,
-    ``source`` must be the generated module source (the historical
-    path).
-
-    ``codegen_target`` selects which module flavour artifact-carrying
-    workers derive (``"spmd"`` or ``"native"``);
-    ``compile_allowance_s`` widens the rendezvous deadline once for a
-    cold native kernel cache (see :func:`scaled_default_timeout`).
     """
-    if artifact_text is not None:
-        module_spec = ("artifact", artifact_text, protocol, codegen_target)
-        if program is None:
-            from repro.core import artifact as artifact_mod
-
-            program = artifact_mod.loads(artifact_text).program
-    elif source is None:
-        raise ExecutionError(
-            "launch needs generated module source or artifact_text"
-        )
-    else:
-        module_spec = source
-
     world_size = program.inputs[0].group.world_size
-    if nranks is not None and nranks != world_size:
-        raise ExecutionError(
-            f"program was built for {world_size} ranks; cannot launch "
-            f"{nranks} SPMD processes — rebuild the workload with "
-            f"world_size={nranks}"
-        )
     shards = _place_per_rank(program, inputs, allow_downcast)
     layout = build_layout(program)
     timeout = (
@@ -1627,7 +1563,7 @@ def launch(
     if trace_dir is not None:
         for r in range(world_size):
             path = os.path.join(trace_dir, f"rank{r}.ring")
-            TraceRing.create(path, trace_capacity).close()
+            TraceRing.create(path, TRACE_CAPACITY).close()
             trace_paths[r] = path
 
     procs: List = []
@@ -1659,7 +1595,7 @@ def launch(
                 p = ctx_mp.Process(
                     target=_rank_main,
                     args=(
-                        r, module_spec, layout, data.name, flags.name,
+                        r, source, layout, data.name, flags.name,
                         shards[r], wire_s_per_mb, timeout, soft_timeout,
                         fault_plan, trace_paths[r], child_conn,
                     ),
@@ -1715,147 +1651,3 @@ def launch(
                 except OSError:  # pragma: no cover
                     pass
     return reports.result(program)
-
-
-# ---------------------------------------------------------------------------
-# Persistent worker pool: direct collective calls for the property tests.
-# ---------------------------------------------------------------------------
-
-
-def _pool_worker(
-    rank: int,
-    layout: SpmdLayout,
-    data_name: str,
-    flags_name: str,
-    timeout: float,
-    conn,
-) -> None:
-    comm = None
-    try:
-        comm = SpmdCommunicator.attach(
-            layout, rank, data_name, flags_name, 0.0, timeout
-        )
-        while True:
-            cmd = conn.recv()
-            if cmd[0] == "stop":
-                break
-            _, method, args, kwargs = cmd
-            try:
-                result = getattr(comm, method)(*args, **kwargs)
-                conn.send(("ok", result))
-            except SpmdPeerAbort:  # pragma: no cover - raced abort
-                conn.send(("error", "aborted by peer"))
-            except Exception as exc:
-                comm.signal_error(_ERR_FAILED)
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-                # collective state is poisoned; peers saw the error flag
-                break
-    finally:
-        if comm is not None:
-            comm.close()
-        conn.close()
-
-
-class CollectivePool:
-    """``nranks`` persistent worker processes for direct collective calls.
-
-    Used by the property tests to drive thousands of communicator
-    collectives without paying a process spawn per example. ``call``
-    broadcasts one method invocation to every worker (each receives its
-    own row of the stacked input) and returns the per-rank results in
-    rank order.
-    """
-
-    def __init__(
-        self,
-        nranks: int,
-        slot_bytes: int = 1 << 20,
-        timeout: float = DEFAULT_TIMEOUT,
-    ) -> None:
-        self.nranks = nranks
-        self.timeout = float(timeout)
-        layout = SpmdLayout(nranks)
-        layout.add_site(
-            _group_key(ProcessGroup(0, nranks, nranks)),
-            range(nranks),
-            slot_bytes,
-        )
-        layout.freeze()
-        self.layout = layout
-        uid = uuid.uuid4().hex[:8]
-        self._data = SharedMemory(
-            create=True, size=layout.data_size,
-            name=f"spmdpool_{uid}_d",
-        )
-        self._flags = SharedMemory(
-            create=True, size=layout.flags_length() * 8,
-            name=f"spmdpool_{uid}_f",
-        )
-        np.ndarray(
-            (layout.flags_length(),), dtype=np.int64, buffer=self._flags.buf
-        ).fill(0)
-        ctx = get_context("spawn")
-        self._procs = []
-        self._conns = []
-        for r in range(nranks):
-            parent_conn, child_conn = ctx.Pipe()
-            p = ctx.Process(
-                target=_pool_worker,
-                args=(
-                    r, layout, self._data.name, self._flags.name,
-                    timeout, child_conn,
-                ),
-                daemon=True,
-            )
-            p.start()
-            child_conn.close()
-            self._procs.append(p)
-            self._conns.append(parent_conn)
-
-    def call(
-        self, method: str, per_rank_args: Sequence[tuple],
-        kwargs: Optional[dict] = None,
-    ) -> List[np.ndarray]:
-        """Invoke ``method`` on every worker; per-rank positional args."""
-        kwargs = kwargs or {}
-        for conn, args in zip(self._conns, per_rank_args):
-            conn.send(("call", method, args, kwargs))
-        out = []
-        errors = []
-        for r, conn in enumerate(self._conns):
-            if not conn.poll(self.timeout):
-                errors.append(f"rank {r}: no reply")
-                continue
-            status, payload = conn.recv()
-            if status == "ok":
-                out.append(payload)
-            else:
-                errors.append(f"rank {r}: {payload}")
-        if errors:
-            raise SpmdError("; ".join(errors))
-        return out
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for p in self._procs:
-            p.join(timeout=5.0)
-            if p.is_alive():  # pragma: no cover
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        for shm in (self._data, self._flags):
-            try:
-                shm.close()
-            finally:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass

@@ -13,10 +13,12 @@ served across processes and sessions without re-running the search.
 The key has two parts because a tuned schedule is only optimal for the
 cluster it was timed on:
 
-* ``structural_hash`` — the *untransformed* program's lowered
-  structure (what the tuner's ``default`` candidate hashes to). Two
-  users submitting the same (workload, shape, dtype) reach the same
-  hash even though their processes generate different value names.
+* ``structural_hash`` — :func:`~repro.core.autotuner.schedule_cache_key`:
+  the *untransformed* program's lowered structure (what the tuner's
+  ``default`` candidate hashes to) digested with its global input
+  shapes and dtypes. Two users submitting the same (workload, shape,
+  dtype) reach the same key even though their processes generate
+  different value names.
 * ``topology_signature`` — :meth:`repro.cluster.topology.Cluster
   .signature`; a DGX-2 pair and a single node tune to different
   schedules, so they occupy different records.

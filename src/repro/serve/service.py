@@ -59,10 +59,10 @@ from multiprocessing import get_context
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.topology import Cluster
-from repro.core.artifact import Artifact, structural_hash
+from repro.core.artifact import Artifact
+from repro.core.autotuner import schedule_cache_key
 from repro.core.dtypes import dtype_by_name
 from repro.core.program import Program
-from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
 from repro.observe.metrics import MetricsRegistry
 from repro.serve.cache import CachedSchedule, ScheduleCache
@@ -211,19 +211,11 @@ class TuneRequest:
 
 
 def request_key(request: TuneRequest) -> Tuple[str, str]:
-    """The cache pair for a request: build, lower, hash.
-
-    The structural hash is computed on the *untransformed* program —
-    the same digest :meth:`Autotuner.tune`'s cache hook derives — and
-    is name-free, so every process maps the same (workload, shape,
-    dtype) to the same key regardless of its value-name counter.
-    """
-    program = request.build_program()
-    cluster = request.cluster()
-    return (
-        structural_hash(Schedule(program).lowered(cluster=cluster)),
-        cluster.signature(),
-    )
+    """The cache pair for a request: :func:`schedule_cache_key` of its
+    program, the key :meth:`Autotuner.tune`'s cache hook uses. It is
+    name-free, so every process maps the same (workload, shape, dtype)
+    to the same key regardless of its value-name counter."""
+    return schedule_cache_key(request.build_program(), request.cluster())
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,24 @@ from repro.core import (
     Tensor,
     world,
 )
+
+
+def spmd_segments():
+    """Names of the SPMD communicator segments now in ``/dev/shm``."""
+    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
+        return set()
+    return {f for f in os.listdir("/dev/shm") if f.startswith("spmd_")}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_leaked_spmd_segments():
+    """Fail the session if it leaves communicator segments behind:
+    every launcher must unlink its pair, whether its ranks succeed,
+    raise or die."""
+    before = spmd_segments()
+    yield
+    leaked = sorted(spmd_segments() - before)
+    assert not leaked, f"the test session leaked /dev/shm segments {leaked}"
 
 
 @pytest.fixture

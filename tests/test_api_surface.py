@@ -124,3 +124,48 @@ class TestNoComparisonModes:
         params = inspect.signature(cls.__init__).parameters
         for option in self.REMOVED:
             assert option not in params, (path, option)
+
+
+class TestOneModulePathIntoRanks:
+    """Every rank runs the module source the parent generated: nothing
+    rebuilds it from the artifact, and the launcher takes no knob that
+    only restates the program."""
+
+    @pytest.mark.parametrize(
+        "name", ["CollectivePool", "_pool_worker", "_module_source"]
+    )
+    def test_spmd_helper_is_gone(self, name):
+        spmd = importlib.import_module("repro.runtime.spmd")
+        assert not hasattr(spmd, name)
+
+    @pytest.mark.parametrize(
+        "module, qualname, removed",
+        [
+            (
+                "repro.runtime.spmd", "launch",
+                ("artifact_text", "protocol", "codegen_target", "nranks",
+                 "trace_capacity"),
+            ),
+            ("repro.runtime.executor", "Executor.run_spmd",
+             ("nranks", "elastic")),
+            ("repro.core.codegen", "GeneratedProgram.launch", ("nranks",)),
+        ],
+    )
+    def test_launcher_takes_no_removed_option(self, module, qualname, removed):
+        import inspect
+
+        obj = importlib.import_module(module)
+        for name in qualname.split("."):
+            obj = getattr(obj, name)
+        params = inspect.signature(obj).parameters
+        for option in removed:
+            assert option not in params, (qualname, option)
+
+    def test_generated_program_carries_no_artifact(self):
+        from repro.core.codegen import CodeGenerator, GeneratedProgram
+        from repro.workloads.adam import AdamWorkload
+
+        gen = CodeGenerator().generate(AdamWorkload.build(64, 4).program)
+        for attr in ("artifact_text", "_artifact_text", "lowered"):
+            assert not hasattr(GeneratedProgram, attr), attr
+            assert not hasattr(gen, attr), attr

@@ -9,11 +9,11 @@ schema-versioned JSON document. These tests pin the contract:
   ``run_lowered``, and that the DES cost model prices to the *same*
   makespan;
 * **real-process parity** — deserialized artifacts drive ``run_spmd``
-  (4 real ranks) bit-identically to the live schedule, and the
-  generated SPMD module ships its artifact to the rank workers;
+  (4 real ranks) bit-identically to the live schedule, and every rank
+  runs the one module source the parent generated;
 * **identity** — ``content_hash`` is invariant under dict reordering
   and across processes; ``structural_hash`` *is* the autotuner's dedup
-  signature; elastic recovery memoizes re-lowered artifacts on it;
+  signature;
 * **the golden files** — committed schema-v1 artifacts under
   ``tests/golden/`` must keep loading, executing and hashing the same
   forever: they are the forward-compatibility promise newer schema
@@ -41,7 +41,7 @@ from repro.core.tensor import Tensor
 from repro.core.transforms import Schedule
 from repro.errors import CoCoNetError
 from repro.perf.program_cost import ProgramCostModel
-from repro.runtime import Executor, FaultPlan
+from repro.runtime import Executor
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
@@ -216,28 +216,26 @@ class TestSpmdFromArtifact:
                 res.output(name), oracle.output(name), err_msg=name
             )
 
-    def test_generated_module_ships_its_artifact(self, monkeypatch):
-        # launch() hands the serialized artifact to spmd.launch so rank
-        # workers rebuild their module from the portable IR, not from
-        # pickled live objects
+    @pytest.mark.parametrize("target", ["spmd", "native"])
+    def test_launch_ships_the_generated_source(self, monkeypatch, target):
+        # every rank runs the one module the parent generated: launch()
+        # hands spmd.launch exactly gen.source, nothing to rebuild from
         from repro.runtime import spmd as spmd_mod
 
-        gen = CodeGenerator(target="spmd").generate(
-            AdamWorkload.build(64, 4).schedule_fused()
+        art = artifact.loads(
+            artifact.dumps(AdamWorkload.build(64, 4).schedule_fused())
         )
+        gen = CodeGenerator(target=target).generate(art)
         seen = {}
 
         def fake_launch(source, program, inputs, **kwargs):
-            seen.update(kwargs, source=source)
+            seen.update(kwargs, source=source, program=program)
             return "launched"
 
         monkeypatch.setattr(spmd_mod, "launch", fake_launch)
         assert gen.launch({}) == "launched"
-        text = seen["artifact_text"]
-        assert text is not None
-        shipped = artifact.loads(text)
-        assert shipped.program.name == "adam"
-        assert seen["protocol"] == "Simple"
+        assert seen["source"] is gen.source
+        assert seen["program"] is gen.program
 
 
 class TestHashes:
@@ -357,63 +355,6 @@ class TestGoldenFiles:
         for name in low.output_names:
             np.testing.assert_array_equal(
                 low.output(name), dfg.output(name), err_msg=name
-            )
-
-
-class TestElasticArtifactCache:
-    """Recovery memoizes re-lowered artifacts on (structural hash, ws)."""
-
-    def _relower(self, rng_seed, N=56):
-        def relower(ws):
-            wl = AdamWorkload.build(N, ws)
-            rng = np.random.RandomState(rng_seed)
-            return wl.program, dict(
-                g=rng.randn(ws, N) * 0.1,
-                p=rng.randn(N),
-                m=rng.randn(N) * 0.01,
-                v=np.abs(rng.randn(N)) * 0.01,
-                lr=0.01,
-                t=3.0,
-            )
-        return relower
-
-    def test_second_recovery_hits_the_cache(self):
-        ex = Executor()
-        relower = self._relower(5)
-        kwargs = dict(
-            allow_downcast=True, soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
-        )
-
-        def recover():
-            rng = np.random.RandomState(5)
-            return ex.run_spmd(
-                AdamWorkload.build(56, 8).program,
-                dict(
-                    g=rng.randn(8, 56) * 0.1,
-                    p=rng.randn(56),
-                    m=rng.randn(56) * 0.01,
-                    v=np.abs(rng.randn(56)) * 0.01,
-                    lr=0.01,
-                    t=3.0,
-                ),
-                fault_plan=FaultPlan(seed=11).die(3, at_site="g"),
-                **kwargs,
-            )
-
-        first = recover()
-        assert first.elastic["world_size"] == 7
-        assert first.elastic["artifact_cache"] == "miss"
-        assert ex.elastic_cache_misses == 1
-        assert ex.elastic_cache_hits == 0
-
-        second = recover()
-        assert second.elastic["artifact_cache"] == "hit"
-        assert ex.elastic_cache_hits == 1
-        assert ex.elastic_cache_misses == 1
-        for name in first.output_names:
-            np.testing.assert_array_equal(
-                second.output(name), first.output(name), err_msg=name
             )
 
 

@@ -10,7 +10,7 @@ Three layers of coverage over :mod:`repro.runtime.faults`:
   down with a structured ``SpmdWorkerError`` (no leaked ``/dev/shm``
   segments, producer threads joined, peers aborting rather than
   timing out);
-* elastic recovery — ``run_spmd(elastic=True)`` re-lowers for the
+* elastic recovery — ``run_spmd(relower=...)`` re-lowers for the
   surviving world size and its outputs are bit-identical to running
   the re-lowered program directly.
 
@@ -18,7 +18,6 @@ Plus the prediction side: DES ``Engine(slowdown=...)`` straggler
 factors (heap ≡ reference under slowdowns) and degraded cluster links.
 """
 
-import os
 import pickle
 import sys
 
@@ -45,6 +44,7 @@ from repro.runtime.spmd import (
 )
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.moe import MoEWorkload
+from tests.conftest import spmd_segments
 from tests.oracle import ReferenceEngine
 
 
@@ -93,12 +93,6 @@ def overlap_inputs(rng, batch=4, seq=8, hidden=64):
         "x": rng.randn(batch, seq, hidden),
         "b": rng.randn(hidden),
     }
-
-
-def _shm_spmd_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [f for f in os.listdir("/dev/shm") if f.startswith("spmd_")]
 
 
 def assert_outputs_equal(a, b):
@@ -294,7 +288,7 @@ class TestDeadRanks:
     )
     def test_die_on_first_publish(self, rng):
         wl = AdamWorkload.build(56, 4)
-        before = set(_shm_spmd_segments())
+        before = spmd_segments()
         with pytest.raises(SpmdWorkerError) as err:
             Executor().run_spmd(
                 wl.program, adam_inputs(rng, 4), allow_downcast=True,
@@ -305,7 +299,7 @@ class TestDeadRanks:
         assert "died" in str(err.value)
         # survivors abort on the peer flag, they do not time out
         assert "timed out" not in str(err.value)
-        assert set(_shm_spmd_segments()) == before
+        assert spmd_segments() == before
 
     @pytest.mark.skipif(
         sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
@@ -315,7 +309,7 @@ class TestDeadRanks:
         producer stream thread — must not wedge survivors' consumer
         loops or leak their producer threads."""
         sched = overlap_schedule(4)
-        before = set(_shm_spmd_segments())
+        before = spmd_segments()
         tracer = Tracer()
         with pytest.raises(SpmdWorkerError) as err:
             Executor().run_spmd(
@@ -325,7 +319,7 @@ class TestDeadRanks:
             )
         assert err.value.dead_ranks == [2]
         assert "timed out" not in str(err.value)
-        assert set(_shm_spmd_segments()) == before
+        assert spmd_segments() == before
         instants = [
             e for e in tracer.events if isinstance(e, InstantEvent)
         ]
@@ -363,7 +357,7 @@ class TestElasticRecovery:
             adam_inputs(np.random.RandomState(5), 8),
             allow_downcast=True, fault_plan=plan,
             soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
         assert res.elastic["failed_ranks"] == [3]
         assert res.elastic["original_world"] == 8
@@ -390,7 +384,7 @@ class TestElasticRecovery:
             allow_downcast=True,
             fault_plan=FaultPlan(seed=12).die(5, at_site="g", after=1),
             soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
         assert res.elastic["world_size"] == 7
         sched7, inputs7 = relower(7)
@@ -409,7 +403,7 @@ class TestElasticRecovery:
             allow_downcast=True,
             fault_plan=FaultPlan(seed=13).die(2),
             soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
         assert res.elastic["world_size"] == 7
         sched7, inputs7 = relower(7)
@@ -432,7 +426,7 @@ class TestElasticRecovery:
             allow_downcast=True,
             fault_plan=FaultPlan(seed=14).die(6, after=2),
             soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
         assert res.elastic["world_size"] == 7
         sched7, inputs7 = relower(7)
@@ -440,15 +434,6 @@ class TestElasticRecovery:
             sched7, inputs7, allow_downcast=True
         )
         assert_outputs_equal(res, oracle)
-
-    def test_elastic_without_relower_explains_itself(self, rng):
-        wl = AdamWorkload.build(56, 4)
-        with pytest.raises(SpmdWorkerError, match="needs relower"):
-            Executor().run_spmd(
-                wl.program, adam_inputs(rng, 4), allow_downcast=True,
-                fault_plan=FaultPlan().die(1, at_site="g"),
-                soft_timeout=0.5, timeout=20.0, elastic=True,
-            )
 
     def test_descent_skips_unbuildable_world_sizes(self):
         # the fused schedule's RS/AG split needs N divisible by the
@@ -465,7 +450,7 @@ class TestElasticRecovery:
             allow_downcast=True,
             fault_plan=FaultPlan().die(1, at_site="g").die(2, at_site="g"),
             soft_timeout=0.5, timeout=30.0,
-            elastic=True, relower=relower,
+            relower=relower,
         )
         assert res.elastic["failed_ranks"] == [1, 2]
         assert res.elastic["attempted"] == [6, 5, 4]

@@ -247,6 +247,38 @@ class TestAutotunerCacheHook:
         assert len(cache) == 2
         assert not two.cached  # different topology missed the nodes1 record
 
+    def test_shapes_sharing_a_structural_hash_split_records(self, tmp_path):
+        # attention at batch 1 × seq 32 and batch 2 × seq 16 lower to the
+        # same launch structure; a tuned artifact only runs at its own
+        # global shapes, so the second must miss and tune for itself
+        from repro.core.artifact import structural_hash
+        from repro.core.transforms import Schedule
+        from repro.workloads.attention import AttentionWorkload
+
+        a = AttentionWorkload.build(1, 32, 64, 2).program
+        b = AttentionWorkload.build(2, 16, 64, 2).program
+        assert structural_hash(Schedule(a).lowered()) == structural_hash(
+            Schedule(b).lowered()
+        )
+        cache = ScheduleCache(str(tmp_path))
+        tuned = [
+            Autotuner(Cluster(1), max_depth=2, schedule_cache=cache).tune(p)
+            for p in (a, b)
+        ]
+        assert not tuned[1].cached
+        assert tuned[0].cache_key != tuned[1].cache_key
+        assert request_key(
+            TuneRequest.make(
+                "attention", batch=2, seq=16, hidden=64, world_size=2
+            )
+        ) == tuned[1].cache_key
+        inputs = _seeded_inputs(b, seed=0)
+        assert _digest(
+            Executor().run_lowered(
+                tuned[1].best.schedule, inputs, allow_downcast=True
+            )
+        ) == _digest(Executor().run_lowered(b, inputs, allow_downcast=True))
+
     def test_cached_candidate_executes_identically(self, tmp_path):
         cache = ScheduleCache(str(tmp_path))
         fresh = tune_into(cache)

@@ -9,7 +9,6 @@ one rank must tear the whole run down without leaking shared-memory
 segments or deadlocking peers.
 """
 
-import os
 import sys
 import threading
 import time
@@ -32,6 +31,7 @@ from repro.workloads.attention import AttentionWorkload
 from repro.workloads.lamb import LambWorkload
 from repro.workloads.moe import MoEWorkload
 from repro.workloads.pipeline import PipelineWorkload
+from tests.conftest import spmd_segments
 
 
 @pytest.fixture
@@ -173,14 +173,6 @@ class TestSpmdParity:
 
 
 class TestSpmdInterface:
-    def test_nranks_must_match_program_world(self, rng):
-        wl = AdamWorkload.build(64, 4)
-        with pytest.raises(ExecutionError, match="built for 4 ranks"):
-            Executor().run_spmd(
-                wl.program, optimizer_inputs(rng), nranks=8,
-                allow_downcast=True,
-            )
-
     def test_generator_rejects_unknown_target(self):
         with pytest.raises(CodegenError, match="target"):
             CodeGenerator(target="cuda")
@@ -262,12 +254,6 @@ class TestPlacePerRank:
                     assert not np.shares_memory(row, other), (name, r)
 
 
-def _shm_spmd_segments():
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
-        return []
-    return [f for f in os.listdir("/dev/shm") if f.startswith("spmd_")]
-
-
 def _failing_on_rank_1(gen, docstring='"""collective kernel: avg"""'):
     """The module with a fault injected: rank 1 raises inside the
     kernel with ``docstring`` while its peers block in the rendezvous."""
@@ -292,7 +278,7 @@ class TestSpmdTeardown:
         wl = AdamWorkload.build(64, 4)
         gen = CodeGenerator(target="spmd").generate(wl.program)
         source = _failing_on_rank_1(gen)
-        before = set(_shm_spmd_segments())
+        before = spmd_segments()
         with pytest.raises(ExecutionError, match="rank 1") as err:
             launch(
                 source, gen.program, optimizer_inputs(rng),
@@ -300,7 +286,7 @@ class TestSpmdTeardown:
             )
         assert "injected kernel fault" in str(err.value)
         # every shared-memory segment created by the run was unlinked
-        assert set(_shm_spmd_segments()) == before
+        assert spmd_segments() == before
 
     @pytest.mark.skipif(
         sys.platform != "linux", reason="/dev/shm inspection is Linux-only"
@@ -325,7 +311,7 @@ class TestSpmdTeardown:
                 'rs_sum, sum_b, dropout, out, ag_out"""',
             )
             inputs, op = attention_inputs(rng), "overlap_0"
-        before = set(_shm_spmd_segments())
+        before = spmd_segments()
         threads_before = set(threading.enumerate())
         t0 = time.monotonic()
         with pytest.raises(ExecutionError, match="rank 1") as err:
@@ -334,13 +320,13 @@ class TestSpmdTeardown:
         assert "injected kernel fault" in str(err.value)
         assert err.value.context["rank"] == 1
         assert err.value.context["op"] == op
-        assert set(_shm_spmd_segments()) == before
+        assert spmd_segments() == before
         assert set(threading.enumerate()) == threads_before
 
     def test_successful_run_leaves_no_segments(self, rng):
         wl = AdamWorkload.build(64, 4)
-        before = set(_shm_spmd_segments())
+        before = spmd_segments()
         Executor().run_spmd(
             wl.program, optimizer_inputs(rng), allow_downcast=True
         )
-        assert set(_shm_spmd_segments()) == before
+        assert spmd_segments() == before

@@ -2,12 +2,16 @@
 
 Every collective of the shared-memory communicator must be bit-identical
 (``np.array_equal``) to its ``repro.runtime.collectives`` vectorized
-counterpart — across fp32/fp16 payloads and real rank counts {2, 4, 8},
+counterpart — across fp32/fp16 payloads and rank counts {2, 4, 8},
 including every divisor node size of the hierarchical AllToAll (uneven
-grids like 8 = 2×4). A persistent :class:`CollectivePool` of worker
-processes executes thousands of real rendezvous without paying a
-process spawn per example.
+grids like 8 = 2×4). Each call runs one thread per rank, every thread
+attached to its own :class:`SpmdCommunicator` over a fresh segment pair
+— the mechanism ``run_threads`` uses — so thousands of real
+rendezvous cost no process spawn. Cross-process rendezvous is covered
+by the ``tests/test_spmd.py`` parity tests at 4 and 8 rank processes.
 """
+
+import threading
 
 import numpy as np
 import pytest
@@ -16,25 +20,56 @@ from hypothesis import strategies as st
 
 from repro.core import world
 from repro.runtime import collectives
-from repro.runtime.spmd import CollectivePool
+from repro.runtime.spmd import (
+    _ERR_FAILED,
+    SpmdCommunicator,
+    SpmdError,
+    SpmdLayout,
+    _group_key,
+    _segments,
+)
 
 RANK_COUNTS = (2, 4, 8)
 DTYPES = (np.float32, np.float16)
-
-_pools = {}
-
-
-def pool(n: int) -> CollectivePool:
-    if n not in _pools:
-        _pools[n] = CollectivePool(n, slot_bytes=1 << 18, timeout=60.0)
-    return _pools[n]
+SLOT_BYTES = 1 << 18
+TIMEOUT = 60.0
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _teardown_pools():
-    yield
-    while _pools:
-        _pools.popitem()[1].close()
+def call(n, method, per_rank_args, kwargs=None):
+    """Invoke communicator ``method`` on ``n`` rank threads, one
+    positional-args tuple per rank; returns the results in rank order."""
+    layout = SpmdLayout(n)
+    layout.add_site(_group_key(world(n)), range(n), SLOT_BYTES)
+    layout.freeze()
+    out = [None] * n
+    errors = []
+    with _segments(layout) as (data, flags):
+
+        def rank(r):
+            comm = SpmdCommunicator.attach(
+                layout, r, data.name, flags.name, timeout=TIMEOUT
+            )
+            try:
+                out[r] = getattr(comm, method)(
+                    *per_rank_args[r], **(kwargs or {})
+                )
+            except Exception as exc:
+                comm.signal_error(_ERR_FAILED)
+                errors.append(f"rank {r}: {type(exc).__name__}: {exc}")
+            finally:
+                comm.close()
+
+        threads = [
+            threading.Thread(target=rank, args=(r,), daemon=True)
+            for r in range(n)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(TIMEOUT + 10.0)
+    if errors or any(t.is_alive() for t in threads):
+        raise SpmdError("; ".join(errors) or "a rank thread hung")
+    return out
 
 
 def _stacked(seed: int, n: int, shape, dtype) -> np.ndarray:
@@ -60,8 +95,8 @@ class TestReductionCollectives:
         g = world(n)
         x = _stacked(seed, n, (n * per,), dtype)
         ref = collectives.allreduce_vectorized(x, g, op, dtype)
-        rows = pool(n).call(
-            "allreduce", [(x[i], g, op, dtype) for i in range(n)]
+        rows = call(
+            n, "allreduce", [(x[i], g, op, dtype) for i in range(n)]
         )
         _assert_rows_equal(rows, ref)
 
@@ -79,8 +114,8 @@ class TestReductionCollectives:
         ref = collectives.reducescatter_vectorized(
             x, g, "+", dim, dtype, context="rs"
         )
-        rows = pool(n).call(
-            "reducescatter",
+        rows = call(
+            n, "reducescatter",
             [(x[i], g, "+", dim, dtype) for i in range(n)],
             kwargs={"context": "rs"},
         )
@@ -99,8 +134,8 @@ class TestReductionCollectives:
         g = world(n)
         x = _stacked(seed, n, (2 * n,), dtype)
         ref = collectives.reduce_vectorized(x, g, op, root, dtype)
-        rows = pool(n).call(
-            "reduce", [(x[i], g, op, root, dtype) for i in range(n)]
+        rows = call(
+            n, "reduce", [(x[i], g, op, root, dtype) for i in range(n)]
         )
         _assert_rows_equal(rows, ref)
 
@@ -118,9 +153,7 @@ class TestDataMovementCollectives:
         g = world(n)
         x = _stacked(seed, n, (n * per, per), dtype)
         ref = collectives.allgather_vectorized(x, g, dim)
-        rows = pool(n).call(
-            "allgather", [(x[i], g, dim) for i in range(n)]
-        )
+        rows = call(n, "allgather", [(x[i], g, dim) for i in range(n)])
         _assert_rows_equal(rows, ref)
 
     @given(
@@ -135,8 +168,8 @@ class TestDataMovementCollectives:
         g = world(n)
         x = _stacked(seed, n, (n * per, n * per), dtype)
         ref = collectives.alltoall_vectorized(x, g, dim, context="a2a")
-        rows = pool(n).call(
-            "alltoall",
+        rows = call(
+            n, "alltoall",
             [(x[i], g, dim) for i in range(n)],
             kwargs={"context": "a2a"},
         )
@@ -154,9 +187,7 @@ class TestDataMovementCollectives:
         g = world(n)
         x = _stacked(seed, n, (3,), dtype)
         ref = collectives.broadcast_vectorized(x, g, root)
-        rows = pool(n).call(
-            "broadcast", [(x[i], g, root) for i in range(n)]
-        )
+        rows = call(n, "broadcast", [(x[i], g, root) for i in range(n)])
         _assert_rows_equal(rows, ref)
 
 
@@ -174,12 +205,12 @@ class TestHierarchicalAllToAll:
             if n % m != 0:
                 continue
             intra_ref = collectives.alltoall_intra_vectorized(x, g, 0, m)
-            intra = pool(n).call(
-                "alltoall_intra", [(x[i], g, 0, m) for i in range(n)]
+            intra = call(
+                n, "alltoall_intra", [(x[i], g, 0, m) for i in range(n)]
             )
             _assert_rows_equal(intra, intra_ref)
-            inter = pool(n).call(
-                "alltoall_inter",
+            inter = call(
+                n, "alltoall_inter",
                 [(np.asarray(intra_ref[i]), g, 0, m) for i in range(n)],
             )
             _assert_rows_equal(inter, flat)
@@ -195,8 +226,8 @@ class TestScalarExchange:
         g = world(n)
         rng = np.random.RandomState(seed)
         vals = rng.randn(n)
-        rows = pool(n).call(
-            "exchange_scalars", [(vals[i], g) for i in range(n)]
+        rows = call(
+            n, "exchange_scalars", [(vals[i], g) for i in range(n)]
         )
         for per_rank in rows:
             assert [float(p) for p in per_rank] == [float(v) for v in vals]
