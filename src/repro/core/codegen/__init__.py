@@ -16,7 +16,7 @@ takes this rank's values plus its
 * fused computation becomes a generated kernel computing this rank's
   shard with the whole expression chain inlined;
 * fused collectives evaluate their communication and computation in
-  program order on this rank's slice, with per-protocol pack handling;
+  program order on this rank's slice;
 * overlapped groups become a generated chunk orchestrator: the
   producer GEMM releases its output chunk by chunk on a stream thread
   while the consuming collective ingests each chunk.

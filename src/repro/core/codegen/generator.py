@@ -307,8 +307,6 @@ class CodeGenerator:
 
     def _emit_constants(self, em: _Emitter, program: Program) -> None:
         em.emit(f'PROTOCOL = "{self.protocol}"')
-        pack = {"LL": 8, "LL128": 16, "Simple": 16}[self.protocol]
-        em.emit(f"PACK_BYTES = {pack}")
         for g in self._groups(program):
             name = self._gname(g)
             em.emit(
@@ -554,7 +552,7 @@ class CodeGenerator:
         elif isinstance(e, o.Slice):
             dim = e.layout.dim
             em.emit(
-                f"{out} = dev.take_slice({self._ref(e.inputs[0])}, "
+                f"{out} = dev.slice_of({self._ref(e.inputs[0])}, "
                 f"{dim}, _i, {e.group.size}, context={e.name!r}).copy()"
             )
         elif isinstance(e, (o.Norm, o.ReduceTensor)):
@@ -585,9 +583,9 @@ class CodeGenerator:
         if e.layout.is_sliced and e.target.layout.is_replicated:
             dim = e.layout.dim
             em.emit(
-                f"dev.write_slice(T[{e.target.name!r}], {dim}, "
-                f"_i, {e.group.size}, {out}.astype({tdt}), "
-                f"context={e.target.name!r})"
+                f"dev.slice_of(T[{e.target.name!r}], {dim}, _i, "
+                f"{e.group.size}, context={e.target.name!r})[...] = "
+                f"{out}.astype({tdt})"
             )
         else:
             em.emit(f"T[{e.target.name!r}] = {out}.astype({tdt})")
@@ -651,12 +649,10 @@ class CodeGenerator:
         oracle.)
         """
         group = k.output.group
-        itemsize = max(e.dtype.itemsize for e in k.exprs)
         em.emit(
             f"# Fused collective over {group!r}, protocol "
             f"{self.protocol}: compute rides the exchange (§5.2)"
         )
-        em.emit(f"_elems_per_pack = max(1, PACK_BYTES // {itemsize})")
         pending: List[Expr] = []
         for e in k.exprs:
             if isinstance(e, ops.CommOp):
@@ -763,14 +759,14 @@ class CodeGenerator:
                 f"_staging = np.asarray(np.matmul({self._ref(a)}, "
                 f"{self._ref(w)})).astype({_np_dtype(mm)})"
             )
-        # The chunk-token pipeline is only sound when the consumer's
+        # The chunked pipeline is only sound when the consumer's
         # first communication op is a group collective that actually
         # consumes the GEMM output on the producer's group — every
-        # collective pops the token (allreduce/RS/AG/alltoall/...), but
-        # a P2P send rendezvouses on pair sites and would leave the
-        # token dangling (deadlocking the site's next sequence), and a
-        # collective whose input is not the GEMM must exchange its own
-        # data, not the staging buffer.
+        # collective consumes the group's pending publication
+        # (allreduce/RS/AG/alltoall/...), but a P2P send rendezvouses
+        # on pair sites and would leave it pending (deadlocking the
+        # site's next sequence), and a collective whose input is not
+        # the GEMM must exchange its own data, not the staging buffer.
         comm_ops = [
             e for e in cons_kernel.exprs if isinstance(e, ops.CommOp)
         ]

@@ -100,7 +100,6 @@ class Executor:
         scheduled,
         inputs: Mapping[str, np.ndarray],
         allow_downcast: Optional[bool] = None,
-        protocol: str = "Simple",
         wire_s_per_mb: float = 0.0,
         timeout: Optional[float] = None,
         soft_timeout: Optional[float] = None,
@@ -157,7 +156,7 @@ class Executor:
         try:
             return self._run_spmd_once(
                 scheduled, inputs,
-                allow_downcast=allow_downcast, protocol=protocol,
+                allow_downcast=allow_downcast,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, fault_plan=fault_plan,
                 tracer=tracer, codegen_target=codegen_target,
@@ -167,7 +166,7 @@ class Executor:
                 raise
             return self._recover_spmd(
                 exc, scheduled, inputs, relower=relower,
-                allow_downcast=allow_downcast, protocol=protocol,
+                allow_downcast=allow_downcast,
                 wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                 soft_timeout=soft_timeout, tracer=tracer,
                 codegen_target=codegen_target,
@@ -179,7 +178,6 @@ class Executor:
         inputs: Mapping[str, np.ndarray],
         *,
         allow_downcast: Optional[bool] = None,
-        protocol: str = "Simple",
         wire_s_per_mb: float = 0.0,
         timeout: Optional[float] = None,
         soft_timeout: Optional[float] = None,
@@ -190,9 +188,7 @@ class Executor:
         """One generate-and-launch attempt (no recovery)."""
         from repro.core.codegen import CodeGenerator
 
-        generated = CodeGenerator(
-            protocol, target=codegen_target
-        ).generate(scheduled)
+        generated = CodeGenerator(target=codegen_target).generate(scheduled)
         launch = dict(
             allow_downcast=allow_downcast,
             wire_s_per_mb=wire_s_per_mb,
@@ -228,7 +224,6 @@ class Executor:
         *,
         relower,
         allow_downcast: Optional[bool],
-        protocol: str,
         wire_s_per_mb: float,
         timeout: Optional[float],
         soft_timeout: Optional[float],
@@ -279,7 +274,7 @@ class Executor:
             try:
                 result = self._run_spmd_once(
                     scheduled2, inputs2,
-                    allow_downcast=allow_downcast, protocol=protocol,
+                    allow_downcast=allow_downcast,
                     wire_s_per_mb=wire_s_per_mb, timeout=timeout,
                     soft_timeout=soft_timeout, tracer=tracer,
                     codegen_target=codegen_target,

@@ -24,12 +24,15 @@ single shared data segment, plus an ``int64`` flags segment. A site is
 a process group (key ``g<start>x<size>``) or a point-to-point pair
 (``p<src>><dst>``). Each slot holds a small self-describing header
 (shape + dtype) and the payload; each (site, rank) pair has a *ready*
-and a *done* sequence counter in the flags segment:
+and a *done* sequence counter in the flags segment. Every exchange is
+one *publication*, released chunk by chunk; a whole payload is one
+chunk:
 
-* publish: write payload, then store ``ready = seq * 2^20 + progress``
-  (``progress`` counts published chunks; whole payloads publish 1);
-* collect: spin until a peer's ready counter covers the needed chunk,
-  then copy the payload out;
+* open: take the site's next ``seq`` and write the slot header;
+* publish: write chunk ``c``, then store ``ready = seq * 2^20 + c + 1``;
+* read: chunk-major — for each chunk, spin until every peer's ready
+  counter covers it, then read it through a view shaped by that peer's
+  header;
 * finish: store ``done = seq``. A publisher may only reuse its slot for
   ``seq`` once every participant's ``done`` reached ``seq - 1``.
 
@@ -47,22 +50,21 @@ weakly-ordered ISAs; a port to ARM should add an explicit fence (or a
 Numerics
 --------
 
-Collectives gather peer payloads into a contiguous rank-major stack and
-apply the *same* reduction/slicing formulas as
+Collectives apply the *same* reduction/slicing formulas as
 :mod:`repro.runtime.collectives` (float64 accumulation in rank order),
 so every collective is bit-identical to its vectorized counterpart —
 the property the ``run_spmd`` ≡ ``run_lowered`` acceptance tests rely
-on. The pairwise AllToAll drains peers in the step order of
-:func:`repro.nccl.algorithms.all_to_all_steps`; chunked publication
+on. A collective consumes either its argument, published whole, or
+the chunked publication an overlapped producer opened on the group
 (:meth:`SpmdCommunicator.begin_chunked` /
-:meth:`SpmdCommunicator.publish_chunks`) releases a producer's output
-chunk-by-chunk at the lowering's chunk granularity, and a consuming
-reduction ingests each chunk as soon as all ranks have published it.
-Reductions over the rank axis are element-wise in the data dimensions,
-so chunk-wise accumulation is bit-identical to whole-buffer
-accumulation while genuinely pipelining the reduce behind the wire
-(:meth:`SpmdCommunicator.begin_chunked` documents why the gather-based
-consumer releases chunks index-ordered rather than ring-rotated).
+:meth:`SpmdCommunicator.publish_chunks`, §5.3), which releases the
+producer's output at the lowering's chunk granularity. Reductions over
+the rank axis are element-wise in the data dimensions, so reducing
+chunk ``c`` as soon as every rank published it is bit-identical to
+reducing the whole stack, while genuinely pipelining the reduce behind
+the wire; a whole payload is one chunk, so it is reduced as one stack.
+The pairwise AllToAll drains peers in the step order of
+:func:`repro.nccl.algorithms.all_to_all_steps`.
 
 Failure handling
 ----------------
@@ -125,7 +127,7 @@ from repro.observe.ring import (
     KIND_WAIT,
     TraceRing,
 )
-from repro.runtime.collectives import _reduce_stack
+from repro.runtime.collectives import _node_grid, _reduce_stack
 from repro.runtime.faults import FaultPlan
 from repro.runtime.world import (
     place_inputs,
@@ -325,16 +327,39 @@ def scaled_default_timeout(
     return base + scale
 
 
-class _ChunkToken:
-    """A chunked publication in flight on a group site."""
+class _Publication:
+    """One rank's payload on a site, released chunk by chunk.
 
-    def __init__(self, key, group, seq, staging, chunk_dim, bounds) -> None:
+    ``bounds`` of ``None`` is one chunk covering the whole payload,
+    indexed with ``Ellipsis`` so 0-d scalars stay 0-d. A reader with
+    nothing to publish (a receiver, a broadcast non-root) holds a
+    publication without a ``payload``; it only names the site, the
+    sequence number and the chunking it reads.
+    """
+
+    def __init__(
+        self, key, seq, payload=None, chunk_dim=0, bounds=None
+    ) -> None:
         self.key = key
-        self.group = group
         self.seq = seq
-        self.staging = staging
+        self.payload = payload
         self.chunk_dim = chunk_dim
-        self.bounds = tuple(bounds)
+        self.bounds = None if bounds is None else tuple(bounds)
+
+    @property
+    def whole(self) -> bool:
+        return self.bounds is None
+
+    def chunks(self) -> list:
+        """The index of every chunk, in release order."""
+        if self.bounds is None:
+            return [Ellipsis]
+        out = []
+        for lo, hi in self.bounds:
+            sl = [slice(None)] * self.payload.ndim
+            sl[self.chunk_dim] = slice(lo, hi)
+            out.append(tuple(sl))
+        return out
 
 
 class SpmdCommunicator:
@@ -372,7 +397,8 @@ class SpmdCommunicator:
         self._site_order = sorted(layout.sites)
         self._site_idx = {k: i for i, k in enumerate(self._site_order)}
         self._seq: Dict[str, int] = {}
-        self._tokens: Dict[str, _ChunkToken] = {}
+        #: chunked publications opened by ``begin_chunked``, by site
+        self._pending: Dict[str, _Publication] = {}
         self._err_off = layout.num_sites * layout.nranks * 2
         self._closed = False
         # observability: the per-rank trace ring plus the current
@@ -605,7 +631,8 @@ class SpmdCommunicator:
             offset=base + HEADER_BYTES,
         )
 
-    def _read_payload(self, key: str, rank: int) -> np.ndarray:
+    def _peer_view(self, key: str, rank: int) -> np.ndarray:
+        """A view of a peer's payload, shaped by its slot header."""
         base, _ = self._slot_bounds(key, rank)
         header = np.ndarray((10,), dtype=np.int64, buffer=self._data.buf,
                             offset=base)
@@ -614,10 +641,7 @@ class SpmdCommunicator:
         del header
         raw = bytes(self._data.buf[base + 80 : base + 112])
         dtype = np.dtype(raw.split(b"\0", 1)[0].decode("ascii"))
-        view = self._payload_view(key, rank, shape, dtype)
-        out = view.copy()
-        del view
-        return out
+        return self._payload_view(key, rank, shape, dtype)
 
     def _wire_sleep(self, nbytes: int) -> None:
         if self.wire_s_per_mb > 0.0 and nbytes > 0:
@@ -666,6 +690,11 @@ class SpmdCommunicator:
         os._exit(_DIE_EXIT_CODE)
 
     # -- rendezvous core --------------------------------------------------
+    #
+    # Every exchange is one publication: ``_open`` takes the site's next
+    # sequence number, ``publish_chunks`` releases the payload chunk by
+    # chunk (a whole payload is one chunk), ``_read`` drains peers
+    # chunk-major, and ``_finish`` lets the site's slots be reused.
 
     def _begin(self, key: str, participants: Sequence[int]) -> int:
         seq = self._seq.get(key, 0) + 1
@@ -682,53 +711,101 @@ class SpmdCommunicator:
             )
         return seq
 
-    def _publish(self, key: str, seq: int, arr: np.ndarray) -> None:
-        t0 = time.monotonic_ns() if self._ring is not None else 0
-        arr = np.asarray(arr)
-        if not arr.flags["C_CONTIGUOUS"]:
-            # (ascontiguousarray unconditionally would promote 0-d
-            # scalars to shape (1,) and break the payload round-trip)
-            arr = np.ascontiguousarray(arr)
-        self._write_header(key, arr)
-        view = self._payload_view(key, self.rank, arr.shape, arr.dtype)
-        view[...] = arr
-        del view
-        self._wire_sleep(arr.nbytes)
-        self._fault_publish(key, seq)
-        self._set_ready(key, self.rank, seq * PROGRESS_BASE + 1)
-        self._trace(
-            KIND_PUBLISH, t0, nbytes=arr.nbytes, seq=seq, site=key,
-            name=self._op or key,
-        )
+    def _open(
+        self, key: str, participants: Sequence[int], payload=None,
+        chunk_dim: int = 0, bounds=None,
+    ) -> _Publication:
+        """Take the site's next sequence number; with a ``payload``,
+        write this rank's slot header for it."""
+        seq = self._begin(key, participants)
+        if payload is not None:
+            payload = np.asarray(payload)
+            if not payload.flags["C_CONTIGUOUS"]:
+                # (ascontiguousarray unconditionally would promote 0-d
+                # scalars to shape (1,) and break the payload round-trip)
+                payload = np.ascontiguousarray(payload)
+            self._write_header(key, payload)
+        return _Publication(key, seq, payload, chunk_dim, bounds)
 
-    def _collect(
-        self, key: str, seq: int, ranks: Sequence[int]
-    ) -> List[np.ndarray]:
-        out = []
-        want = seq * PROGRESS_BASE + 1
-        for r in ranks:
-            self._spin(
-                lambda r=r: self._ready(key, r) >= want,
-                f"rank {r}'s payload at site {key}",
-                site=key,
-            )
-            out.append(self._read_payload(key, r))
-        return out
-
-    def _finish(self, key: str, seq: int) -> None:
-        self._set_done(key, self.rank, seq)
-
-    def _exchange_group(
-        self, group: ProcessGroup, arr: np.ndarray
-    ) -> List[np.ndarray]:
-        """All-to-all-gather one payload per rank, in rank order."""
+    def _publication(
+        self, group: ProcessGroup, x, publish: bool = True
+    ) -> _Publication:
+        """The publication a group collective consumes: the chunked one
+        the generated orchestrator opened on ``group``, if any, else
+        ``x`` published whole now (``publish=False``: this rank only
+        reads)."""
         key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        self._publish(key, seq, np.asarray(arr))
-        rows = self._collect(key, seq, parts)
-        self._finish(key, seq)
+        pub = self._pending.pop(key, None)
+        if pub is None:
+            pub = self._open(key, group.ranks, x if publish else None)
+            if publish:
+                self.publish_chunks(pub)
+        return pub
+
+    def _read(self, pub: _Publication, ranks: Sequence[int], take) -> None:
+        """Drain ``ranks`` chunk-major: for every chunk ``c`` in order,
+        wait until each rank published it, then ``take(j, index, view)``
+        with ``j`` the position in ``ranks`` and ``view`` that peer's
+        payload."""
+        views: List[Optional[np.ndarray]] = [None] * len(ranks)
+        try:
+            for c, sl in enumerate(pub.chunks()):
+                want = pub.seq * PROGRESS_BASE + c + 1
+                for j, r in enumerate(ranks):
+                    self._spin(
+                        lambda: self._ready(pub.key, r) >= want,
+                        f"chunk {c} from rank {r} at site {pub.key}",
+                        site=pub.key,
+                    )
+                    if views[j] is None:
+                        views[j] = self._peer_view(pub.key, r)
+                    take(j, sl, views[j])
+        finally:
+            del views
+
+    def _rows(
+        self, pub: _Publication, ranks: Sequence[int]
+    ) -> List[np.ndarray]:
+        """A copy of every rank's payload, in ``ranks`` order."""
+        rows: List[Optional[np.ndarray]] = [None] * len(ranks)
+
+        def take(j, sl, view):
+            if rows[j] is None:
+                rows[j] = np.empty_like(view)
+            rows[j][sl] = view[sl]
+
+        self._read(pub, ranks, take)
+        self._finish(pub)
         return rows
+
+    def _reduced(
+        self, pub: _Publication, group: ProcessGroup, op: str
+    ) -> np.ndarray:
+        """The float64 rank-order reduction of the group's payloads,
+        chunk ``c`` reduced as soon as every rank published it (see
+        Numerics in the module docstring)."""
+        t0 = time.monotonic_ns() if self._ring is not None else 0
+        total = np.empty(pub.payload.shape, dtype=np.float64)
+        parts: List[Optional[np.ndarray]] = [None] * group.size
+
+        def take(j, sl, view):
+            parts[j] = view[sl]
+            if j == group.size - 1:
+                total[sl] = _reduce_stack(np.stack(parts, axis=0), op)
+
+        try:
+            self._read(pub, group.ranks, take)
+        finally:
+            del parts
+        self._finish(pub)
+        self._trace(
+            KIND_REDUCE, t0, seq=pub.seq, site=pub.key,
+            name=self._op or op,
+        )
+        return total
+
+    def _finish(self, pub: _Publication) -> None:
+        self._set_done(pub.key, self.rank, pub.seq)
 
     # -- collectives ------------------------------------------------------
     #
@@ -736,41 +813,24 @@ class SpmdCommunicator:
     # :mod:`repro.runtime.collectives` on a contiguous rank-major stack,
     # so results are bit-identical to the vectorized backend.
 
-    def _reduced_total(self, x, group: ProcessGroup, op: str) -> np.ndarray:
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            return self._token_reduce(token, op)
-        rows = self._exchange_group(group, x)
-        t0 = time.monotonic_ns() if self._ring is not None else 0
-        total = _reduce_stack(np.stack(rows, axis=0), op)
-        self._trace(
-            KIND_REDUCE, t0, seq=self._site_seq, site=_group_key(group),
-            name=self._op or op,
-        )
-        return total
-
     def allreduce(self, x, group: ProcessGroup, op: str, dtype) -> np.ndarray:
         """Every rank receives the reduction of all ranks' values."""
-        return self._reduced_total(x, group, op).astype(dtype)
+        pub = self._publication(group, x)
+        return self._reduced(pub, group, op).astype(dtype)
 
     def reducescatter(
         self, x, group: ProcessGroup, op: str, dim: int, dtype,
         context: str = "",
     ) -> np.ndarray:
         """This rank receives its slice of the reduction."""
-        total = self._reduced_total(x, group, op).astype(dtype)
+        pub = self._publication(group, x)
+        total = self._reduced(pub, group, op).astype(dtype)
         i = group.local_rank(self.rank)
         return slice_of(total, dim, i, group.size, context=context).copy()
 
-    def _gather_rows(self, x, group: ProcessGroup) -> List[np.ndarray]:
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            return self._token_rows(token)
-        return self._exchange_group(group, x)
-
     def allgather(self, x, group: ProcessGroup, dim: int) -> np.ndarray:
         """Concatenation of all ranks' slices, in rank order."""
-        rows = self._gather_rows(x, group)
+        rows = self._rows(self._publication(group, x), group.ranks)
         return np.concatenate(rows, axis=dim)
 
     def alltoall(
@@ -782,27 +842,16 @@ class SpmdCommunicator:
         :func:`repro.nccl.algorithms.all_to_all_steps` (in step ``t``
         rank ``r`` receives from ``(r - t - 1) mod n``); the result is
         assembled in source-rank order, matching the rank-major
-        :func:`repro.runtime.collectives.alltoall_vectorized`. A
-        pending chunk token on the group is consumed chunk-by-chunk
-        like every other collective.
+        :func:`repro.runtime.collectives.alltoall_vectorized`.
         """
         n = group.size
         i = group.local_rank(self.rank)
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            rows = dict(enumerate(self._token_rows(token)))
-        else:
-            key = _group_key(group)
-            parts = tuple(group.ranks)
-            seq = self._begin(key, parts)
-            self._publish(key, seq, np.asarray(x))
-            rows = {}
-            order = [i] + [(i - t - 1) % n for t in range(n - 1)]
-            for j in order:
-                rows[j] = self._collect(
-                    key, seq, [group.global_rank(j)]
-                )[0]
-            self._finish(key, seq)
+        order = [i] + [(i - t - 1) % n for t in range(n - 1)]
+        drained = self._rows(
+            self._publication(group, x),
+            [group.global_rank(j) for j in order],
+        )
+        rows = dict(zip(order, drained))
         parts_out = [
             slice_of(rows[s], dim, i, n, context=context) for s in range(n)
         ]
@@ -813,9 +862,9 @@ class SpmdCommunicator:
         context: str = "",
     ) -> np.ndarray:
         """Intra-node phase of the hierarchical AllToAll (this rank)."""
-        k, m = self._node_grid(group, node_size)
+        k, m = _node_grid(group, node_size)
         n = group.size
-        rows = self._gather_rows(x, group)
+        rows = self._rows(self._publication(group, x), group.ranks)
         local = group.local_rank(self.rank)
         a, q = divmod(local, m)
         parts = [
@@ -832,9 +881,9 @@ class SpmdCommunicator:
         context: str = "",
     ) -> np.ndarray:
         """Inter-node phase of the hierarchical AllToAll (this rank)."""
-        k, m = self._node_grid(group, node_size)
+        k, m = _node_grid(group, node_size)
         n = group.size
-        rows = self._gather_rows(x, group)
+        rows = self._rows(self._publication(group, x), group.ranks)
         local = group.local_rank(self.rank)
         b, q = divmod(local, m)
         parts = [
@@ -846,16 +895,6 @@ class SpmdCommunicator:
         ]
         return np.concatenate(parts, axis=dim)
 
-    @staticmethod
-    def _node_grid(group: ProcessGroup, node_size: int) -> Tuple[int, int]:
-        n = group.size
-        m = min(max(1, int(node_size)), n)
-        if n % m != 0:
-            raise ExecutionError(
-                f"group size {n} is not divisible by node size {m}"
-            )
-        return n // m, m
-
     def reduce(
         self, x, group: ProcessGroup, op: str, root: int, dtype
     ) -> np.ndarray:
@@ -866,24 +905,11 @@ class SpmdCommunicator:
         rank still contributes one, and the sequence counters keep the
         rendezvous symmetric.
         """
-        root_rank = group.global_rank(root)
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            total = self._token_reduce(token, op)
-            if self.rank == root_rank:
-                return total.astype(dtype)
-            return np.asarray(x).astype(dtype)
-        key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        self._publish(key, seq, np.asarray(x))
-        if self.rank == root_rank:
-            rows = self._collect(key, seq, parts)
-            out = _reduce_stack(np.stack(rows, axis=0), op).astype(dtype)
-        else:
-            out = np.asarray(x).astype(dtype)
-        self._finish(key, seq)
-        return out
+        pub = self._publication(group, x)
+        if self.rank == group.global_rank(root):
+            return self._reduced(pub, group, op).astype(dtype)
+        self._finish(pub)
+        return np.asarray(x).astype(dtype)
 
     def broadcast(self, x, group: ProcessGroup, root: int) -> np.ndarray:
         """Every rank receives the root rank's value.
@@ -893,52 +919,35 @@ class SpmdCommunicator:
         whole group.
         """
         root_rank = group.global_rank(root)
-        token = self._tokens.pop(_group_key(group), None)
-        if token is not None:
-            rows = self._token_rows(token)
-            return rows[group.local_rank(root_rank)]
-        key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        if self.rank == root_rank:
-            self._publish(key, seq, np.asarray(x))
-            out = np.array(x, copy=True)
-        else:
-            out = self._collect(key, seq, [root_rank])[0]
-        self._finish(key, seq)
-        return out
+        pub = self._publication(group, x, publish=self.rank == root_rank)
+        return self._rows(pub, [root_rank])[0]
 
     def exchange_scalars(self, value, group: ProcessGroup) -> List[np.float64]:
         """Gather one float64 scalar per rank, in rank order (§5.2:
         the AllReduce of partial reductions)."""
-        rows = self._exchange_group(
-            group, np.asarray(value, dtype=np.float64)
-        )
-        return [np.float64(r) for r in rows]
+        pub = self._publication(group, np.asarray(value, dtype=np.float64))
+        return [np.float64(r) for r in self._rows(pub, group.ranks)]
 
     def barrier(self, group: Optional[ProcessGroup] = None) -> None:
         if group is None:
             group = ProcessGroup(0, self.nranks, self.nranks)
-        self._exchange_group(group, np.zeros((1,), dtype=np.int64))
+        pub = self._publication(group, np.zeros((1,), dtype=np.int64))
+        self._rows(pub, group.ranks)
 
     # -- P2P --------------------------------------------------------------
 
     def send(self, x, dst: int) -> None:
         """Send this rank's value to global rank ``dst``."""
-        key = _p2p_key(self.rank, dst)
-        seq = self._begin(key, (self.rank, dst))
-        self._publish(key, seq, np.asarray(x))
-        self._finish(key, seq)
+        pub = self._open(_p2p_key(self.rank, dst), (self.rank, dst), x)
+        self.publish_chunks(pub)
+        self._finish(pub)
 
     def recv(self, src: int) -> np.ndarray:
         """Receive the value global rank ``src`` sent to this rank."""
-        key = _p2p_key(src, self.rank)
-        seq = self._begin(key, (src, self.rank))
-        out = self._collect(key, seq, [src])[0]
-        self._finish(key, seq)
-        return out
+        pub = self._open(_p2p_key(src, self.rank), (src, self.rank))
+        return self._rows(pub, [src])[0]
 
-    # -- chunked ring publication (overlap, §5.3) -------------------------
+    # -- chunked publication (overlap, §5.3) ------------------------------
 
     def begin_chunked(
         self,
@@ -946,11 +955,11 @@ class SpmdCommunicator:
         staging: np.ndarray,
         chunk_dim: int,
         bounds: Sequence[Tuple[int, int]],
-    ) -> _ChunkToken:
+    ) -> _Publication:
         """Open a chunked publication of ``staging`` on the group site.
 
-        The next collective this rank issues on ``group`` consumes the
-        token chunk-by-chunk instead of exchanging whole buffers.
+        The next collective this rank issues on ``group`` consumes it
+        chunk-by-chunk instead of publishing its own argument whole.
 
         Chunks are released in *index order* on every rank. The real
         backend's ring collective consumes rank-rotated chunks (rank
@@ -964,28 +973,23 @@ class SpmdCommunicator:
         the consumer's reduction with the remaining chunks' wire time.
         """
         key = _group_key(group)
-        parts = tuple(group.ranks)
-        seq = self._begin(key, parts)
-        staging = np.asarray(staging)
-        if not staging.flags["C_CONTIGUOUS"]:
-            staging = np.ascontiguousarray(staging)
-        self._write_header(key, staging)
-        token = _ChunkToken(key, group, seq, staging, chunk_dim, bounds)
-        self._tokens[key] = token
-        return token
+        pub = self._open(key, group.ranks, staging, chunk_dim, bounds)
+        self._pending[key] = pub
+        return pub
 
     def publish_chunks(
-        self, token: _ChunkToken, out: Optional[np.ndarray] = None
+        self, pub: _Publication, out: Optional[np.ndarray] = None
     ) -> None:
-        """Release the staged chunks, one wire transfer per chunk.
+        """Release a publication's chunks, one wire transfer per chunk.
 
         ``out``, when given, receives each chunk as it is published —
         the consumer-visible buffer of the lowered ``publish`` mode.
+        Injected chunk drops apply to chunked publications only.
         """
-        staging = token.staging
-        bounds = token.bounds
+        payload = pub.payload
+        chunks = pub.chunks()
         view = self._payload_view(
-            token.key, self.rank, staging.shape, staging.dtype
+            pub.key, self.rank, payload.shape, payload.dtype
         )
         # an injected drop_chunk withholds the ready bump: the payload
         # is written, but visibility is redelivered later (with the next
@@ -993,24 +997,23 @@ class SpmdCommunicator:
         # chunk) — consumers soft-retry through the gap
         redeliver: Optional[float] = None
         try:
-            for c in range(len(bounds)):
+            for c, sl in enumerate(chunks):
                 t0 = time.monotonic_ns() if self._ring is not None else 0
-                lo, hi = bounds[c]
-                sl = [slice(None)] * staging.ndim
-                sl[token.chunk_dim] = slice(lo, hi)
-                sl = tuple(sl)
-                view[sl] = staging[sl]
+                view[sl] = payload[sl]
                 if out is not None:
-                    out[sl] = staging[sl]
-                nbytes = staging[sl].nbytes
+                    out[sl] = payload[sl]
+                nbytes = payload[sl].nbytes
+                # a whole publish is traced and stalled by its site
+                # sequence number, a chunk by its index
+                tag = pub.seq if pub.whole else c
                 self._wire_sleep(nbytes)
-                self._fault_publish(token.key, c)
-                if self._faults is not None:
-                    drop = self._faults.drop(token.key, c)
+                self._fault_publish(pub.key, tag)
+                if self._faults is not None and not pub.whole:
+                    drop = self._faults.drop(pub.key, c)
                     if drop is not None:
                         self._trace(
                             KIND_FAULT, time.monotonic_ns(), seq=c,
-                            site=token.key, name=f"drop_chunk {c}",
+                            site=pub.key, name=f"drop_chunk {c}",
                         )
                         redeliver = drop.redeliver
                         continue
@@ -1018,101 +1021,29 @@ class SpmdCommunicator:
                     time.sleep(redeliver)
                     self._trace(
                         KIND_FAULT, time.monotonic_ns(), seq=c,
-                        site=token.key, name="redeliver",
+                        site=pub.key, name="redeliver",
                     )
                     redeliver = None
                 self._set_ready(
-                    token.key, self.rank,
-                    token.seq * PROGRESS_BASE + c + 1,
+                    pub.key, self.rank, pub.seq * PROGRESS_BASE + c + 1
                 )
                 self._trace(
-                    KIND_PUBLISH, t0, nbytes=nbytes, seq=c, site=token.key,
-                    name=f"chunk{c}",
+                    KIND_PUBLISH, t0, nbytes=nbytes, seq=tag, site=pub.key,
+                    name=(self._op or pub.key) if pub.whole else f"chunk{c}",
                 )
             if redeliver is not None:
                 # the dropped chunk was the last one: redeliver it
                 time.sleep(redeliver)
                 self._trace(
                     KIND_FAULT, time.monotonic_ns(),
-                    seq=len(bounds) - 1, site=token.key, name="redeliver",
+                    seq=len(chunks) - 1, site=pub.key, name="redeliver",
                 )
                 self._set_ready(
-                    token.key, self.rank,
-                    token.seq * PROGRESS_BASE + len(bounds),
+                    pub.key, self.rank,
+                    pub.seq * PROGRESS_BASE + len(chunks),
                 )
         finally:
             del view
-
-    def _chunk_wait(self, token: _ChunkToken, local: int, c: int) -> None:
-        """Wait until group-local rank ``local`` published chunk ``c``."""
-        want = token.seq * PROGRESS_BASE + c + 1
-        r = token.group.global_rank(local)
-        self._spin(
-            lambda: self._ready(token.key, r) >= want,
-            f"chunk {c} from rank {r} at site {token.key}",
-            site=token.key,
-        )
-
-    def _token_reduce(self, token: _ChunkToken, op: str) -> np.ndarray:
-        """Chunk-wise rank-order reduction of a chunked publication.
-
-        Reductions over the rank axis are element-wise in the data
-        dimensions, so accumulating chunk ``c`` as soon as every rank
-        published it is bit-identical to reducing the whole stack —
-        while genuinely overlapping the reduce with the remaining
-        chunks' wire time.
-        """
-        group = token.group
-        n = group.size
-        shape, dtype = token.staging.shape, token.staging.dtype
-        total = np.empty(shape, dtype=np.float64)
-        t_all = time.monotonic_ns() if self._ring is not None else 0
-        views = [
-            self._payload_view(token.key, r, shape, dtype)
-            for r in group.ranks
-        ]
-        try:
-            for c in range(len(token.bounds)):
-                lo, hi = token.bounds[c]
-                sl = [slice(None)] * len(shape)
-                sl[token.chunk_dim] = slice(lo, hi)
-                sl = tuple(sl)
-                rows = []
-                for j in range(n):
-                    self._chunk_wait(token, j, c)
-                    rows.append(np.ascontiguousarray(views[j][sl]))
-                total[sl] = _reduce_stack(np.stack(rows, axis=0), op)
-        finally:
-            del views
-        self._finish(token.key, token.seq)
-        self._trace(
-            KIND_REDUCE, t_all, seq=token.seq, site=token.key,
-            name=self._op or op,
-        )
-        return total
-
-    def _token_rows(self, token: _ChunkToken) -> List[np.ndarray]:
-        """Assemble every rank's full chunked publication."""
-        group = token.group
-        shape, dtype = token.staging.shape, token.staging.dtype
-        rows = [np.empty(shape, dtype=dtype) for _ in range(group.size)]
-        views = [
-            self._payload_view(token.key, r, shape, dtype)
-            for r in group.ranks
-        ]
-        try:
-            for c in range(len(token.bounds)):
-                lo, hi = token.bounds[c]
-                sl = [slice(None)] * len(shape)
-                sl[token.chunk_dim] = slice(lo, hi)
-                sl = tuple(sl)
-                for j in range(group.size):
-                    self._chunk_wait(token, j, c)
-                    rows[j][sl] = views[j][sl]
-        finally:
-            del views
-        self._finish(token.key, token.seq)
-        return rows
 
     # -- streams ----------------------------------------------------------
 

@@ -169,3 +169,42 @@ class TestOneModulePathIntoRanks:
         for attr in ("artifact_text", "_artifact_text", "lowered"):
             assert not hasattr(GeneratedProgram, attr), attr
             assert not hasattr(gen, attr), attr
+
+
+class TestOneRendezvousPath:
+    """The SPMD communicator has one transport: every exchange is a
+    chunked publication (a whole payload is one chunk), so neither the
+    whole-buffer helpers nor a separate chunk-token path come back; the
+    generated modules slice through ``runtime.world.slice_of``."""
+
+    def test_chunk_token_is_gone(self):
+        spmd = importlib.import_module("repro.runtime.spmd")
+        assert not hasattr(spmd, "_ChunkToken")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["_exchange_group", "_publish", "_collect", "_read_payload",
+         "_reduced_total", "_gather_rows", "_token_reduce", "_token_rows",
+         "_chunk_wait", "_node_grid"],
+    )
+    def test_communicator_helper_is_gone(self, name):
+        from repro.runtime.spmd import SpmdCommunicator
+
+        assert not hasattr(SpmdCommunicator, name)
+
+    def test_run_spmd_takes_no_protocol(self):
+        import inspect
+
+        from repro.runtime.executor import Executor
+
+        params = inspect.signature(Executor.run_spmd).parameters
+        assert "protocol" not in params
+
+    @pytest.mark.parametrize(
+        "name", ["take_slice", "write_slice", "slice_bounds"]
+    )
+    def test_device_slicing_helper_is_gone(self, name):
+        dev = importlib.import_module("repro.core.codegen.device")
+        assert not hasattr(dev, name)
+        world = importlib.import_module("repro.runtime.world")
+        assert dev.slice_of is world.slice_of

@@ -13,7 +13,7 @@ from repro.core.transforms import (
     ComputationFuse,
     Schedule,
 )
-from repro.errors import CodegenError
+from repro.errors import CodegenError, ExecutionError
 from repro.workloads.adam import AdamWorkload
 from repro.workloads.attention import AttentionWorkload
 from repro.workloads.pipeline import PipelineWorkload
@@ -39,7 +39,20 @@ def assert_generated_matches(sched, inputs, protocol="Simple"):
 
 class TestDeviceLibrary:
     def test_slice_bounds(self):
-        assert dev.slice_bounds(8, 1, 4) == (2, 4)
+        x = np.arange(16).reshape(2, 8)
+        np.testing.assert_array_equal(
+            dev.slice_of(x, 1, 1, 4), [[2, 3], [10, 11]]
+        )
+
+    def test_slice_is_a_writable_view(self):
+        # the generated Update store writes a rank's slice in place
+        x = np.zeros(8)
+        dev.slice_of(x, 0, 1, 4)[...] = 7.0
+        np.testing.assert_array_equal(x, [0, 0, 7, 7, 0, 0, 0, 0])
+
+    def test_uneven_slice_names_its_tensor(self):
+        with pytest.raises(ExecutionError, match=r"not divisible.*\(in w\)"):
+            dev.slice_of(np.zeros(6), 0, 0, 4, context="w")
 
 
 class TestDifferentialExecution:
